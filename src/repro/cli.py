@@ -12,7 +12,7 @@ Examples::
     baps traces                             # trace characteristics only
     baps simulate --trace NLANR-uc --organization browsers-aware-proxy-server
     baps simulate --log access.log --format squid --proxy-frac 0.05
-    baps profile --trace NLANR-uc -o all    # per-phase replay timings
+    baps profile --trace NLANR-uc -o all    # per-phase sampled replay time
     baps parse access.log --format squid    # trace statistics for a log
 """
 
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help=(
-            "collect per-phase replay timers into the timing report "
+            "sample per-phase replay time into the timing report "
             "(implies --timing; serial runs only — ignored with --workers)"
         ),
     )
@@ -416,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="time the replay hot path per phase (opt-in instrumentation)",
+        help="sample where the replay loop spends its time, per phase",
     )
     prof_src = prof.add_mutually_exclusive_group()
     prof_src.add_argument(
@@ -445,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="replacement policy (lru, fifo, lfu, size, gdsf)")
     prof.add_argument("--index-kind", choices=("exact", "bloom"), default="exact")
     prof.add_argument("--repeat", type=int, default=1, metavar="N",
-                      help="replay N times, accumulating timers (default: 1)")
+                      help="replay N times, accumulating samples (default: 1)")
     prof.add_argument("--json", action="store_true",
                       help="emit a machine-readable JSON summary instead")
 

@@ -21,10 +21,12 @@ mid-replay — hits + misses == requests served, the
 internally consistent, gated counters zero while their knob is off —
 raising :class:`InvariantViolation` naming the violated law and the
 request index, so a soak fails at the violating request, not at
-finalise.
+finalise.  The same laws are checked once at finalise on *every* run
+of every engine, monitored or not; only the per-request ticks are
+opt-in.
 
-With ``SimulationConfig.chaos = None`` (the default) nothing here
-executes, no RNG is constructed, and every existing result is
+With ``SimulationConfig.chaos = None`` (the default) no fault model is
+installed, no RNG is constructed, and every existing result is
 bit-identical.
 """
 
@@ -136,7 +138,9 @@ class InvariantMonitor:
     :meth:`tick` (live-result loops) or :meth:`tick_fast` (the
     optimized loop, whose per-location counters are batched locally)
     once per request; a check runs every ``check_every`` requests.
-    :meth:`check_final` runs the full battery once more after finalise.
+    :meth:`check_final` runs the full battery once more after finalise
+    — on every run: unmonitored engines call it on a one-shot
+    ``InvariantMonitor(config, 1)``.
     """
 
     def __init__(self, config: "SimulationConfig", check_every: int) -> None:

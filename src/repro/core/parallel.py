@@ -116,12 +116,12 @@ class EngineOptions:
     faults: FaultPlan | None = None
     #: after this many pool crashes, remaining cells run one-per-pool.
     isolate_after_crashes: int = 2
-    #: collect per-phase replay timers (see
-    #: :mod:`repro.util.profiling`) aggregated across cells into
+    #: sample each cell's replay loop for per-phase time (see
+    #: :mod:`repro.util.profiling`), aggregated across cells into
     #: ``SweepRun.timing.phase_seconds``.  Honoured on the serial path
-    #: only — pool workers cannot ship their timers back, so pooled
+    #: only — pool workers cannot ship their samples back, so pooled
     #: runs leave ``phase_seconds`` empty.  Results stay bit-identical
-    #: either way (the instrumented loops only add observation).
+    #: either way (the sampler only observes the one replay loop).
     profile: bool = False
 
     def __post_init__(self) -> None:

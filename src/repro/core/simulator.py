@@ -28,25 +28,34 @@ Request path (matching paper §2/§3.2):
 Every leg is priced by the §4.2/§5 timing models into the result's
 :class:`~repro.core.overhead.OverheadReport`.
 
-The replay loops are the throughput bottleneck of every sweep, so they
-are written as *optimized fast paths*: per-request counters accumulate
-in local variables and flush into the result once at finalise, the
-timing arithmetic of the §4.2/§5 models is inlined (same operations in
-the same order, so the floats are bit-identical), per-client cache
-handles are precomputed, and config/feature reads are hoisted out of
-the loop.  :mod:`repro.core.reference` keeps a frozen copy of the
-straight-line engine; the differential suite
-(``tests/test_differential.py``) replays randomized configurations
-through both and asserts the results are exactly equal, field for
-field.  Passing a :class:`~repro.util.profiling.ReplayProfile` switches
-to instrumented loops that additionally time each phase
-(results stay bit-identical; only observation is added).
+Every configuration replays through **one loop**
+(:meth:`Simulator._replay`).  Optional behaviour — expiration-based
+coherence, proxy crash recovery, the quarantine guard, the invariant
+monitor — is bound into hooks once per run, before the loop starts,
+and steps 2–4 fall through to one shared *fill tail* that populates
+the caches the serving step names.  The loop is the throughput
+bottleneck of every sweep, so it is written as an *optimized fast
+path*: per-request counters accumulate in local variables and flush
+into the result once at finalise, the timing arithmetic of the
+§4.2/§5 models is inlined (same operations in the same order, so the
+floats are bit-identical), per-client cache handles are precomputed,
+and config/feature reads are hoisted out of the loop.
+:mod:`repro.core.reference` keeps a frozen copy of the straight-line
+engine; the differential suite (``tests/test_differential.py``)
+replays randomized configurations through both and asserts the
+results are exactly equal, field for field.  Passing a
+:class:`~repro.util.profiling.ReplayProfile` runs the same loop under
+a statistical sampler that charges wall time to the loop's numbered
+steps (results stay bit-identical; only observation is added).  The
+conservation and ledger laws of
+:class:`~repro.core.chaos.InvariantMonitor` are checked once at
+finalise on every run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from time import perf_counter
 
 from repro.adversarial import PeerPopulation
 from repro.cache import TieredLRUCache, make_cache
@@ -65,7 +74,7 @@ from repro.index.staleness import StalenessStats
 from repro.network.ethernet import SharedBus
 from repro.security.protocols import SecurityOverheadModel
 from repro.traces.record import Trace
-from repro.util.profiling import ReplayProfile
+from repro.util.profiling import TAIL, PhaseMap, ReplayProfile
 from repro.util.rng import derive_seed
 from repro.util.units import BITS_PER_BYTE
 
@@ -124,11 +133,11 @@ def bloom_expected_docs(
 class Simulator:
     """One organization, one configuration, one trace replay.
 
-    ``profile`` opts into the instrumented loops: per-phase wall-clock
-    timers accumulated into the given
-    :class:`~repro.util.profiling.ReplayProfile`.  It is a constructor
-    argument rather than a config knob so journal identity digests
-    (``config_digest``) are unaffected.
+    ``profile`` opts into observation: :meth:`run` samples the replay
+    loop and accumulates per-phase wall time and exact event counts
+    into the given :class:`~repro.util.profiling.ReplayProfile`.  It is
+    a constructor argument rather than a config knob so journal
+    identity digests (``config_digest``) are unaffected.
     """
 
     def __init__(
@@ -248,7 +257,7 @@ class Simulator:
 
         # Proxy crash recovery.  Nothing below constructs an RNG unless
         # a rate-based fault model is actually configured; the default
-        # (always-up proxy) leaves the replay loops untouched.
+        # (always-up proxy) leaves the replay loop untouched.
         self._fault_schedule = (
             ProxyFaultSchedule(config.proxy_faults, seed=config.availability_seed)
             if config.proxy_faults is not None
@@ -431,7 +440,7 @@ class Simulator:
         return self._banned_set
 
     def _guarded_lookup_fn(self, index):
-        """The ``index.lookup`` binding for the replay loops.
+        """The ``index.lookup`` binding for the replay loop.
 
         Quarantine off — the raw bound method, so the hot path is
         untouched.  Quarantine armed — a wrapper filtering blacklisted
@@ -470,7 +479,7 @@ class Simulator:
         discarded transfer plus verification for an integrity failure —
         and leaves escalation to the caller.  A successful probe only
         submits the bus transfer; the *caller* accounts the remote hit
-        (so the replay loops can batch those counters).
+        (so the replay loop can batch those counters).
         """
         config = self.config
         result = self.result
@@ -518,27 +527,21 @@ class Simulator:
         return True, memory
 
     def _remote_delivery(
-        self, c: int, d: int, s: int, v: int, t: float, prof: ReplayProfile | None = None
+        self, c: int, d: int, s: int, v: int, t: float
     ) -> tuple[bool, bool | None]:
-        """The resilient remote-hit path shared by both replay loops.
+        """The resilient remote-hit path (the federated engine's; the
+        replay loop inlines it).
 
         Looks up a holder, then fails over across the index's replica
         list — bounded by ``config.max_holder_retries`` — until one
         probe serves the document or the candidates are exhausted.
         Returns ``(served, memory_tier)``; on ``True`` the caller
         accounts the remote hit, on ``False`` the request escalates to
-        the origin.  ``prof`` (instrumented loops only) times the index
-        lookup as its own sub-phase.
+        the origin.
         """
         index = self.index
         result = self.result
-        lookup = self._guarded_lookup_fn(index)
-        if prof is None:
-            hit = lookup(d, c, t, v)
-        else:
-            t0 = perf_counter()
-            hit = lookup(d, c, t, v)
-            prof.add("index_lookup", perf_counter() - t0)
+        hit = self._guarded_lookup_fn(index)(d, c, t, v)
         if hit is None:
             # Was this a lost opportunity?  Check the truth.
             if self._recovering:
@@ -558,7 +561,7 @@ class Simulator:
         """Probe the looked-up holder, failing over across the index's
         replica list until one probe serves or candidates run out.
 
-        Split from :meth:`_remote_delivery` so the optimized loops can
+        Split from :meth:`_remote_delivery` so the replay loop can
         inline the (far more common) lookup-miss path and only pay this
         call on an index hit.
         """
@@ -654,8 +657,8 @@ class Simulator:
         """Process checkpoint deadlines and crashes due by virtual time
         *t*, in time order, and advance any open rebuild window.
 
-        Returns True when a crash replaced the proxy/index objects —
-        the replay loops must refresh their local bindings.  Called
+        Returns True when a crash replaced the index object — the
+        replay loop must refresh its local bindings.  Called
         before each request is served, so index state seen by a
         checkpoint or crash is exactly the state at its virtual time
         (index state only changes at requests).
@@ -772,27 +775,69 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Replay the whole trace; returns the accumulated result.
 
-        With ``config.consistency`` set the replay honours
-        expiration-based coherence (stale deliveries, validations);
-        otherwise the paper's perfect-coherence fast path runs.  With a
-        profile attached the instrumented (but result-identical) loop
-        variants run instead.
+        Every configuration runs the one loop in :meth:`_replay`.  With
+        a profile attached that same loop runs under the phase sampler
+        of :mod:`repro.util.profiling`, which observes without touching
+        the result.
         """
-        profile = self.profile
-        if profile is None:
-            if self.config.consistency is not None:
-                return self._run_coherent()
-            return self._run_fast()
-        t0 = perf_counter()
-        if self.config.consistency is not None:
-            result = self._run_coherent_profiled()
-        else:
-            result = self._run_fast_profiled()
-        profile.wall_seconds += perf_counter() - t0
-        profile.n_requests += result.n_requests
-        return result
+        if self.profile is None:
+            return self._replay()
+        return self.profile.time_replay(
+            self._replay, _loop_phase_map(), self._phase_counts
+        )
 
-    def _run_fast(self) -> SimulationResult:
+    def _coherence_hooks(self):
+        """``(modified, fresh, stamp)`` for ``config.consistency``.
+
+        Browser and proxy copies are served without question while
+        fresh-by-policy (even if actually outdated: a *stale
+        delivery*); once expired they are revalidated against the
+        origin (an If-Modified-Since round trip).  ``fresh`` returns
+        False when a validation finds the document changed: the
+        request then takes the new body from the origin directly,
+        without trying lower cache levels.  Remote-browser hits still
+        require an exact version match: the §6 watermark verification
+        would reject a stale peer copy.
+        """
+        expires_at = self.config.consistency.expires_at
+        validation_rtt = self.config.wan.connection_setup
+        overhead = self.result.overhead
+        cstats = self.result.consistency_stats
+        #: doc -> (newest version seen, when it was first seen).
+        seen: dict[int, tuple[int, float]] = {}
+
+        def modified(d: int, v: int, t: float) -> float:
+            """Last-modified time of *d*: when its newest version was
+            first requested."""
+            rec = seen.get(d)
+            if rec is None or v > rec[0]:
+                rec = seen[d] = (v, t)
+            return rec[1]
+
+        def fresh(entry, v: int, s: int, t: float, last_mod: float) -> bool:
+            if t <= entry.expires_at:
+                if entry.version != v:
+                    cstats.stale_deliveries += 1
+                    cstats.stale_bytes += s
+                return True
+            cstats.validations += 1
+            overhead.validation_time += validation_rtt
+            if entry.version == v:
+                cstats.validated_hits += 1
+                entry.expires_at = expires_at(t, last_mod)
+                return True
+            cstats.validation_misses += 1
+            return False
+
+        def stamp(cache, d: int, t: float, last_mod: float) -> None:
+            entry = cache.peek(d)
+            if entry is not None:
+                entry.expires_at = expires_at(t, last_mod)
+
+        return modified, fresh, stamp
+
+    def _replay(self) -> SimulationResult:
+        """The one request-path loop (see the module docstring)."""
         features = self.features
         config = self.config
         result = self.result
@@ -803,8 +848,11 @@ class Simulator:
         # Hoisted feature/config reads — loop-invariant.
         tiered = self._tiered
         has_browsers = features.has_browsers
+        has_proxy = proxy is not None
         caches_remote = features.caches_remote_fetches
-        cache_remote_at_proxy = config.cache_remote_hits_at_proxy
+        remote_to_proxy = (
+            caches_remote and config.cache_remote_hits_at_proxy and has_proxy
+        )
 
         # Inlined timing models.  The arithmetic below replicates
         # EthernetModel.transfer_time, WANModel.fetch_time, and
@@ -824,30 +872,25 @@ class Simulator:
         BITS = BITS_PER_BYTE
 
         # Precomputed per-client handles (plain caches only; the tiered
-        # model keeps the uniform _get wrapper).
+        # model keeps the uniform _get/_browser_put wrappers): bound
+        # `get`s and `put`s and direct entry-table views for the
+        # membership probes, plus the index event methods bound once
+        # (rebound after a crash).
         self_get = self._get
-        browser_gets = (
-            [b.get for b in browsers] if has_browsers and not tiered else None
-        )
-        # Inlined _browser_put (plain caches): per-client bound `put`s
-        # and direct entry-table views for the membership probes, plus
-        # the index event methods bound once (rebound after a crash).
-        browser_puts = (
-            [b.put for b in browsers] if has_browsers and not tiered else None
-        )
-        browser_entries = (
-            [b._entries for b in browsers] if has_browsers and not tiered else None
-        )
+        plain_browsers = has_browsers and not tiered
+        browser_gets = [b.get for b in browsers] if plain_browsers else None
+        browser_puts = [b.put for b in browsers] if plain_browsers else None
+        browser_entries = [b._entries for b in browsers] if plain_browsers else None
         # LRU probes bypass the Python-level Cache.get frame entirely:
         # the merged-OrderedDict layout makes a probe one C-level
         # dict.get plus (on residency) one C-level move_to_end — the
         # exact semantics of LRUCache.get.
-        lru_b = browser_entries is not None and config.browser_policy == "lru"
-        lru_p = proxy is not None and not tiered and config.proxy_policy == "lru"
+        lru_b = plain_browsers and config.browser_policy == "lru"
+        lru_p = has_proxy and not tiered and config.proxy_policy == "lru"
         proxy_entries = proxy._entries if lru_p else None
         # Where no eviction hook can fire, LRUCache.put itself is
-        # inlined at the populate sites below: browser caches only get
-        # an ``on_evict`` when an index exists (evictions must then be
+        # inlined in the fill tail: browser caches only get an
+        # ``on_evict`` when an index exists (evictions must then be
         # reported), and the proxy cache never gets one.
         inline_bput = lru_b and index is None
         index_ttl = config.index_entry_ttl
@@ -860,8 +903,8 @@ class Simulator:
         index_stale = index.is_stale if index is not None else False
         failover = self._failover_deliver
         truth_holds = self._truth_holds
-        proxy_get = proxy.get if proxy is not None and not tiered else None
-        proxy_put = proxy.put if proxy is not None else None
+        proxy_get = proxy.get if has_proxy and not tiered else None
+        proxy_put = proxy.put if has_proxy else None
         browser_put = self._browser_put
         security = self._security
         sec_transfer = security.transfer_cost if security is not None else None
@@ -870,6 +913,19 @@ class Simulator:
             if self._fault_schedule is not None or self._checkpointer is not None
             else None
         )
+        monitor = self._monitor
+        # Expiration-based coherence, bound once: without a policy a
+        # resident copy is served iff its version is current.
+        if config.consistency is not None:
+            modified, fresh, stamp = self._coherence_hooks()
+        else:
+            modified = fresh = stamp = None
+        coherent = fresh is not None
+        last_mod = 0.0
+        #: a failed revalidation sends the request straight to the origin.
+        go_origin = False
+        #: the serving copy's storage tier: stays None unless tiered.
+        memory = None
 
         # Batched counters: accumulated locally, flushed into the result
         # once after the loop.  Each target field is written *only* by
@@ -890,20 +946,18 @@ class Simulator:
         peak_entries = result.index_peak_entries
         peak_footprint = result.index_peak_footprint_bytes
 
-        monitor = self._monitor
-
+        # The step comments below are the profiler's phase markers
+        # (_PHASE_MARKERS): keep their wording in sync.
         for t, c, d, s, v in self.trace.iter_rows():
+            # 0. proxy crash recovery
             if recovery is not None and recovery(t):
-                # a crash replaced the proxy/index objects
-                proxy = self.proxy
+                # a crash replaced the index (the proxy empties in place)
                 index = self.index
-                proxy_get = proxy.get if proxy is not None and not tiered else None
-                proxy_put = proxy.put if proxy is not None else None
                 record_insert = index.record_insert if index is not None else None
                 record_evict = index.record_evict if index is not None else None
                 index_lookup = self._guarded_lookup_fn(index) if index is not None else None
                 index_stale = index.is_stale if index is not None else False
-                proxy_entries = proxy._entries if lru_p else None
+            # -- per-request hooks: invariant monitor, coherence clock
             if monitor is not None:
                 # Conservation is checked from the loop's batched local
                 # tallies (the result's per-location counters flush
@@ -911,6 +965,9 @@ class Simulator:
                 monitor.tick_fast(
                     result, n_requests, lb_hits + px_hits + rb_hits, og_misses
                 )
+            if coherent:
+                last_mod = modified(d, v, t)
+                go_origin = False
 
             # 1. local browser cache
             if has_browsers:
@@ -919,20 +976,16 @@ class Simulator:
                     entry = bce.get(d)
                     if entry is not None:
                         bce.move_to_end(d)
-                        if entry.version == v:
-                            n_requests += 1
-                            total_bytes += s
-                            lb_hits += 1
-                            lb_bytes += s
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                            continue
+                elif tiered:
+                    entry, memory = self_get(browsers[c], d)
                 else:
-                    if tiered:
-                        entry, memory = self_get(browsers[c], d)
-                    else:
-                        entry = browser_gets[c](d)
-                        memory = None
-                    if entry is not None and entry.version == v:
+                    entry = browser_gets[c](d)
+                if entry is not None:
+                    if (
+                        entry.version == v
+                        if fresh is None
+                        else fresh(entry, v, s, t, last_mod)
+                    ):
                         n_requests += 1
                         total_bytes += s
                         lb_hits += 1
@@ -948,73 +1001,25 @@ class Simulator:
                             lb_disk_bytes += s
                             local_hit_time += -(-s // disk_page) * disk_pt
                         continue
+                    go_origin = coherent
 
             # 2. proxy cache
-            if proxy is not None:
+            via = None
+            if has_proxy and not go_origin:
                 if lru_p:
                     entry = proxy_entries.get(d)
                     if entry is not None:
                         proxy_entries.move_to_end(d)
-                        if entry.version == v:
-                            n_requests += 1
-                            total_bytes += s
-                            px_hits += 1
-                            px_bytes += s
-                            proxy_hit_time += -(-s // disk_page) * disk_pt + (
-                                lan_setup + s * BITS / lan_bw
-                            )
-                            if has_browsers:
-                                # inlined _browser_put
-                                if inline_bput:
-                                    # inlined LRUCache.put (no evict hook)
-                                    bcache = browsers[c]
-                                    bce = browser_entries[c]
-                                    old = bce.get(d)
-                                    if old is not None:
-                                        bused = bcache.used + s - old.size
-                                        old.size = s
-                                        old.version = v
-                                        bce.move_to_end(d)
-                                    elif s <= bcache.capacity:
-                                        bce[d] = CacheEntry(d, s, v)
-                                        bused = bcache.used + s
-                                    else:
-                                        bused = -1  # refused: no change
-                                    if bused >= 0:
-                                        cap = bcache.capacity
-                                        if bused <= cap:
-                                            bcache.used = bused
-                                        else:
-                                            while bused > cap:
-                                                victim = None
-                                                for k in bce:
-                                                    if k != d:
-                                                        victim = k
-                                                        break
-                                                if victim is None:
-                                                    bused -= bce.pop(d).size
-                                                    break
-                                                bused -= bce.pop(victim).size
-                                            bcache.used = bused
-                                elif record_insert is None:
-                                    browser_puts[c](d, s, v)
-                                else:
-                                    bce = browser_entries[c]
-                                    already = d in bce
-                                    self._now = t
-                                    browser_puts[c](d, s, v)
-                                    if d in bce:
-                                        record_insert(c, d, v, s, t, index_ttl, already)
-                                    elif already:
-                                        record_evict(c, d, t)
-                            continue
+                elif tiered:
+                    entry, memory = self_get(proxy, d)
                 else:
-                    if tiered:
-                        entry, memory = self_get(proxy, d)
-                    else:
-                        entry = proxy_get(d)
-                        memory = None
-                    if entry is not None and entry.version == v:
+                    entry = proxy_get(d)
+                if entry is not None:
+                    if (
+                        entry.version == v
+                        if fresh is None
+                        else fresh(entry, v, s, t, last_mod)
+                    ):
                         n_requests += 1
                         total_bytes += s
                         px_hits += 1
@@ -1030,60 +1035,25 @@ class Simulator:
                             px_disk_bytes += s
                             stime = -(-s // disk_page) * disk_pt
                         proxy_hit_time += stime + (lan_setup + s * BITS / lan_bw)
-                        if has_browsers:
-                            # inlined _browser_put
-                            if inline_bput:
-                                # inlined LRUCache.put (no evict hook)
-                                bcache = browsers[c]
-                                bce = browser_entries[c]
-                                old = bce.get(d)
-                                if old is not None:
-                                    bused = bcache.used + s - old.size
-                                    old.size = s
-                                    old.version = v
-                                    bce.move_to_end(d)
-                                elif s <= bcache.capacity:
-                                    bce[d] = CacheEntry(d, s, v)
-                                    bused = bcache.used + s
-                                else:
-                                    bused = -1  # refused: no change
-                                if bused >= 0:
-                                    cap = bcache.capacity
-                                    if bused <= cap:
-                                        bcache.used = bused
-                                    else:
-                                        while bused > cap:
-                                            victim = None
-                                            for k in bce:
-                                                if k != d:
-                                                    victim = k
-                                                    break
-                                            if victim is None:
-                                                bused -= bce.pop(d).size
-                                                break
-                                            bused -= bce.pop(victim).size
-                                        bcache.used = bused
-                            elif browser_puts is None:
-                                browser_put(c, d, s, v, t)
-                            elif record_insert is None:
-                                browser_puts[c](d, s, v)
-                            else:
-                                bce = browser_entries[c]
-                                already = d in bce
-                                self._now = t
-                                browser_puts[c](d, s, v)
-                                if d in bce:
-                                    record_insert(c, d, v, s, t, index_ttl, already)
-                                elif already:
-                                    record_evict(c, d, t)
-                        continue
+                        if not has_browsers:
+                            continue
+                        # a stale delivery populates the browser with
+                        # the version it was served
+                        via = "proxy_probe"
+                        ver = entry.version
+                        to_proxy = False
+                        to_browser = True
+                    else:
+                        go_origin = coherent
 
-            # 3. browser index -> remote browser cache (with failover);
-            # inlined _remote_delivery lookup-miss fast path
-            if index is not None:
+            # 3. browser index -> remote browser cache (exact version
+            # match only, with failover); inlined _remote_delivery
+            if index is not None and via is None and not go_origin:
                 hit = index_lookup(d, c, t, v)
                 if hit is None:
                     if recovery is not None and self._recovering:
+                        # a miss on the partial index a browser could
+                        # have served: a hit lost to recovery
                         if truth_holds(d, v, c):
                             result.hits_lost_to_recovery += 1
                     elif index_stale and truth_holds(d, v, c):
@@ -1108,68 +1078,61 @@ class Simulator:
                         remote_storage_time += -(-s // disk_page) * disk_pt
                     if sec_transfer is not None:
                         security_time += sec_transfer(s)
-                    if caches_remote:
-                        # inlined _browser_put
-                        if browser_puts is None:
-                            browser_put(c, d, s, v, t)
-                        else:
-                            bce = browser_entries[c]
-                            already = d in bce
-                            self._now = t
-                            browser_puts[c](d, s, v)
-                            if d in bce:
-                                record_insert(c, d, v, s, t, index_ttl, already)
-                            elif already:
-                                record_evict(c, d, t)
-                        if cache_remote_at_proxy and proxy_put is not None:
-                            proxy_put(d, s, v)
-                    n = index.n_entries
-                    if n > peak_entries:
-                        peak_entries = n
-                        peak_footprint = index.footprint_bytes()
-                    continue
+                    via = "remote_delivery"
+                    ver = v
+                    to_proxy = remote_to_proxy
+                    to_browser = caches_remote
 
             # 4. origin server
-            n_requests += 1
-            total_bytes += s
-            og_misses += 1
-            og_bytes += s
-            origin_miss_time += (wan_setup + s * BITS / wan_bw) + (
-                lan_setup + s * BITS / lan_bw
-            )
-            if lru_p:
-                # inlined LRUCache.put (proxy caches have no evict hook)
-                old = proxy_entries.get(d)
-                if old is not None:
-                    pused = proxy.used + s - old.size
-                    old.size = s
-                    old.version = v
-                    proxy_entries.move_to_end(d)
-                elif s <= proxy.capacity:
-                    proxy_entries[d] = CacheEntry(d, s, v)
-                    pused = proxy.used + s
-                else:
-                    pused = -1  # refused: no change
-                if pused >= 0:
-                    cap = proxy.capacity
-                    if pused <= cap:
-                        proxy.used = pused
+            if via is None:
+                n_requests += 1
+                total_bytes += s
+                og_misses += 1
+                og_bytes += s
+                origin_miss_time += (wan_setup + s * BITS / wan_bw) + (
+                    lan_setup + s * BITS / lan_bw
+                )
+                via = "origin_fetch"
+                ver = v
+                to_proxy = has_proxy
+                to_browser = has_browsers
+
+            # -- fill tail: populate the caches the serving step names
+            if to_proxy:
+                if lru_p:
+                    # inlined LRUCache.put (proxy caches have no evict hook)
+                    old = proxy_entries.get(d)
+                    if old is not None:
+                        pused = proxy.used + s - old.size
+                        old.size = s
+                        old.version = ver
+                        proxy_entries.move_to_end(d)
+                    elif s <= proxy.capacity:
+                        proxy_entries[d] = CacheEntry(d, s, ver)
+                        pused = proxy.used + s
                     else:
-                        while pused > cap:
-                            victim = None
-                            for k in proxy_entries:
-                                if k != d:
-                                    victim = k
+                        pused = -1  # refused: no change
+                    if pused >= 0:
+                        cap = proxy.capacity
+                        if pused <= cap:
+                            proxy.used = pused
+                        else:
+                            while pused > cap:
+                                victim = None
+                                for k in proxy_entries:
+                                    if k != d:
+                                        victim = k
+                                        break
+                                if victim is None:
+                                    pused -= proxy_entries.pop(d).size
                                     break
-                            if victim is None:
-                                pused -= proxy_entries.pop(d).size
-                                break
-                            pused -= proxy_entries.pop(victim).size
-                        proxy.used = pused
-            elif proxy_put is not None:
-                proxy_put(d, s, v)
-            if has_browsers:
-                # inlined _browser_put
+                                pused -= proxy_entries.pop(victim).size
+                            proxy.used = pused
+                else:
+                    proxy_put(d, s, ver)
+                if stamp is not None:
+                    stamp(proxy, d, t, last_mod)
+            if to_browser:
                 if inline_bput:
                     # inlined LRUCache.put (no evict hook)
                     bcache = browsers[c]
@@ -1178,10 +1141,10 @@ class Simulator:
                     if old is not None:
                         bused = bcache.used + s - old.size
                         old.size = s
-                        old.version = v
+                        old.version = ver
                         bce.move_to_end(d)
                     elif s <= bcache.capacity:
-                        bce[d] = CacheEntry(d, s, v)
+                        bce[d] = CacheEntry(d, s, ver)
                         bused = bcache.used + s
                     else:
                         bused = -1  # refused: no change
@@ -1202,19 +1165,22 @@ class Simulator:
                                 bused -= bce.pop(victim).size
                             bcache.used = bused
                 elif browser_puts is None:
-                    browser_put(c, d, s, v, t)
+                    browser_put(c, d, s, ver, t)
                 elif record_insert is None:
-                    browser_puts[c](d, s, v)
+                    browser_puts[c](d, s, ver)
                 else:
+                    # inlined _browser_put
                     bce = browser_entries[c]
                     already = d in bce
                     self._now = t
-                    browser_puts[c](d, s, v)
+                    browser_puts[c](d, s, ver)
                     if d in bce:
-                        record_insert(c, d, v, s, t, index_ttl, already)
+                        record_insert(c, d, ver, s, t, index_ttl, already)
                     elif already:
                         record_evict(c, d, t)
-            if index is not None:
+                if stamp is not None:
+                    stamp(browsers[c], d, t, last_mod)
+            if index is not None and via != "proxy_probe":
                 n = index.n_entries
                 if n > peak_entries:
                     peak_entries = n
@@ -1225,27 +1191,21 @@ class Simulator:
         result.n_requests += n_requests
         result.total_bytes += total_bytes
         by_location = result.by_location
-        stats = by_location[HitLocation.LOCAL_BROWSER]
-        stats.hits += lb_hits
-        stats.hit_bytes += lb_bytes
-        stats.memory_hits += lb_mem_hits
-        stats.memory_hit_bytes += lb_mem_bytes
-        stats.disk_hits += lb_disk_hits
-        stats.disk_hit_bytes += lb_disk_bytes
-        stats = by_location[HitLocation.PROXY]
-        stats.hits += px_hits
-        stats.hit_bytes += px_bytes
-        stats.memory_hits += px_mem_hits
-        stats.memory_hit_bytes += px_mem_bytes
-        stats.disk_hits += px_disk_hits
-        stats.disk_hit_bytes += px_disk_bytes
-        stats = by_location[HitLocation.REMOTE_BROWSER]
-        stats.hits += rb_hits
-        stats.hit_bytes += rb_bytes
-        stats.memory_hits += rb_mem_hits
-        stats.memory_hit_bytes += rb_mem_bytes
-        stats.disk_hits += rb_disk_hits
-        stats.disk_hit_bytes += rb_disk_bytes
+        for location, hits, hit_bytes, mem_hits, mem_bytes, disk_hits, disk_bytes in (
+            (HitLocation.LOCAL_BROWSER, lb_hits, lb_bytes, lb_mem_hits, lb_mem_bytes,
+             lb_disk_hits, lb_disk_bytes),
+            (HitLocation.PROXY, px_hits, px_bytes, px_mem_hits, px_mem_bytes,
+             px_disk_hits, px_disk_bytes),
+            (HitLocation.REMOTE_BROWSER, rb_hits, rb_bytes, rb_mem_hits, rb_mem_bytes,
+             rb_disk_hits, rb_disk_bytes),
+        ):
+            stats = by_location[location]
+            stats.hits += hits
+            stats.hit_bytes += hit_bytes
+            stats.memory_hits += mem_hits
+            stats.memory_hit_bytes += mem_bytes
+            stats.disk_hits += disk_hits
+            stats.disk_hit_bytes += disk_bytes
         stats = by_location[HitLocation.ORIGIN]
         stats.misses += og_misses
         stats.miss_bytes += og_bytes
@@ -1259,598 +1219,23 @@ class Simulator:
 
         return self._finalise()
 
-    # -- coherent replay (expiration-based consistency) ----------------------
-
-    def _run_coherent(self) -> SimulationResult:
-        """Replay honouring the configured consistency policy.
-
-        Browser and proxy copies are served without question while
-        fresh-by-policy (even if actually outdated: a *stale
-        delivery*); once expired they are revalidated against the
-        origin (an If-Modified-Since round trip).  A validation that
-        finds the document changed receives the new body from the
-        origin directly — it does not retry lower cache levels.
-        Remote-browser hits still require an exact version match: the
-        §6 watermark verification would reject a stale peer copy.
-        """
-        features = self.features
-        config = self.config
-        result = self.result
-        overhead = result.overhead
-        cstats = result.consistency_stats
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
-        policy = config.consistency
-
-        tiered = self._tiered
-        has_browsers = features.has_browsers
-        caches_remote = features.caches_remote_fetches
-        cache_remote_at_proxy = config.cache_remote_hits_at_proxy
-
-        lan = config.lan
-        wan = config.wan
-        storage = config.storage
-        lan_setup = lan.connection_setup
-        lan_bw = lan.bandwidth_bps
-        wan_setup = wan.connection_setup
-        wan_bw = wan.bandwidth_bps
-        wan_conn = wan.connection_setup
-        mem_block = storage.memory_block_bytes
-        mem_bt = storage.memory_block_time
-        disk_page = storage.disk_page_bytes
-        disk_pt = storage.disk_page_time
-        BITS = BITS_PER_BYTE
-
-        self_get = self._get
-        browser_gets = (
-            [b.get for b in browsers] if has_browsers and not tiered else None
-        )
-        # Inlined _browser_put handles (see _run_fast).
-        browser_puts = (
-            [b.put for b in browsers] if has_browsers and not tiered else None
-        )
-        browser_entries = (
-            [b._entries for b in browsers] if has_browsers and not tiered else None
-        )
-        # Direct C-level LRU probes (see _run_fast).
-        lru_b = browser_entries is not None and config.browser_policy == "lru"
-        lru_p = proxy is not None and not tiered and config.proxy_policy == "lru"
-        proxy_entries = proxy._entries if lru_p else None
-        index_ttl = config.index_entry_ttl
-        record_insert = index.record_insert if index is not None else None
-        record_evict = index.record_evict if index is not None else None
-        # Inlined _remote_delivery handles (see _run_fast).
-        index_lookup = self._guarded_lookup_fn(index) if index is not None else None
-        index_stale = index.is_stale if index is not None else False
-        failover = self._failover_deliver
-        truth_holds = self._truth_holds
-        proxy_get = proxy.get if proxy is not None and not tiered else None
-        proxy_put = proxy.put if proxy is not None else None
-        browser_put = self._browser_put
-        security = self._security
-        sec_transfer = security.transfer_cost if security is not None else None
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-        expires_at = policy.expires_at
-
-        # Batched counters (same flush-once discipline as _run_fast;
-        # validation_time and the consistency counters stay direct —
-        # they are exclusively written by coherence_action, so order is
-        # preserved either way and the closure stays simple).
-        n_requests = 0
-        total_bytes = 0
-        lb_hits = lb_bytes = lb_mem_hits = lb_mem_bytes = lb_disk_hits = lb_disk_bytes = 0
-        px_hits = px_bytes = px_mem_hits = px_mem_bytes = px_disk_hits = px_disk_bytes = 0
-        rb_hits = rb_bytes = rb_mem_hits = rb_mem_bytes = rb_disk_hits = rb_disk_bytes = 0
-        og_misses = og_bytes = 0
-        local_hit_time = 0.0
-        proxy_hit_time = 0.0
-        origin_miss_time = 0.0
-        remote_storage_time = 0.0
-        security_time = 0.0
-        peak_entries = result.index_peak_entries
-        peak_footprint = result.index_peak_footprint_bytes
-
-        #: first time each version was observed ~ modification time.
-        last_modified: dict[int, float] = {}
-        seen_version: dict[int, int] = {}
-
-        def coherence_action(entry, v: int, t: float, last_mod: float) -> str:
-            if t <= entry.expires_at:
-                return "serve"
-            cstats.validations += 1
-            overhead.validation_time += wan_conn
-            if entry.version == v:
-                cstats.validated_hits += 1
-                entry.expires_at = expires_at(t, last_mod)
-                return "validated"
-            cstats.validation_misses += 1
-            return "changed"
-
-        def stamp(cache, d: int, t: float, last_mod: float) -> None:
-            entry = cache.peek(d)
-            if entry is not None:
-                entry.expires_at = expires_at(t, last_mod)
-
-        monitor = self._monitor
-
-        for t, c, d, s, v in self.trace.iter_rows():
-            if recovery is not None and recovery(t):
-                # a crash replaced the proxy/index objects
-                proxy = self.proxy
-                index = self.index
-                proxy_get = proxy.get if proxy is not None and not tiered else None
-                proxy_put = proxy.put if proxy is not None else None
-                record_insert = index.record_insert if index is not None else None
-                record_evict = index.record_evict if index is not None else None
-                index_lookup = self._guarded_lookup_fn(index) if index is not None else None
-                index_stale = index.is_stale if index is not None else False
-                proxy_entries = proxy._entries if lru_p else None
-            if monitor is not None:
-                # Same batched-locals conservation check as _run_fast.
-                monitor.tick_fast(
-                    result, n_requests, lb_hits + px_hits + rb_hits, og_misses
-                )
-
-            sv = seen_version.get(d)
-            if sv is None or v > sv:
-                seen_version[d] = v
-                last_modified[d] = t
-            last_mod = last_modified[d]
-            served = False
-            go_origin = False
-
-            # 1. local browser cache
-            if has_browsers:
-                if lru_b:
-                    bce = browser_entries[c]
-                    entry = bce.get(d)
-                    if entry is not None:
-                        bce.move_to_end(d)
-                    memory = None
-                elif tiered:
-                    entry, memory = self_get(browsers[c], d)
-                else:
-                    entry = browser_gets[c](d)
-                    memory = None
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action == "serve" or action == "validated":
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        n_requests += 1
-                        total_bytes += s
-                        lb_hits += 1
-                        lb_bytes += s
-                        if memory is None:
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                        elif memory:
-                            lb_mem_hits += 1
-                            lb_mem_bytes += s
-                            local_hit_time += -(-s // mem_block) * mem_bt
-                        else:
-                            lb_disk_hits += 1
-                            lb_disk_bytes += s
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-
-            # 2. proxy cache
-            if not served and not go_origin and proxy is not None:
-                if lru_p:
-                    entry = proxy_entries.get(d)
-                    if entry is not None:
-                        proxy_entries.move_to_end(d)
-                    memory = None
-                elif tiered:
-                    entry, memory = self_get(proxy, d)
-                else:
-                    entry = proxy_get(d)
-                    memory = None
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action == "serve" or action == "validated":
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        n_requests += 1
-                        total_bytes += s
-                        px_hits += 1
-                        px_bytes += s
-                        if memory is None:
-                            stime = -(-s // disk_page) * disk_pt
-                        elif memory:
-                            px_mem_hits += 1
-                            px_mem_bytes += s
-                            stime = -(-s // mem_block) * mem_bt
-                        else:
-                            px_disk_hits += 1
-                            px_disk_bytes += s
-                            stime = -(-s // disk_page) * disk_pt
-                        proxy_hit_time += stime + (lan_setup + s * BITS / lan_bw)
-                        if has_browsers:
-                            ev = entry.version
-                            # inlined _browser_put
-                            if browser_puts is None:
-                                browser_put(c, d, s, ev, t)
-                            elif record_insert is None:
-                                browser_puts[c](d, s, ev)
-                            else:
-                                bce = browser_entries[c]
-                                already = d in bce
-                                self._now = t
-                                browser_puts[c](d, s, ev)
-                                if d in bce:
-                                    record_insert(c, d, ev, s, t, index_ttl, already)
-                                elif already:
-                                    record_evict(c, d, t)
-                            stamp(browsers[c], d, t, last_mod)
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-
-            # 3. browser index -> remote browser cache (exact match only,
-            #    with failover); inlined _remote_delivery fast path
-            if not served and not go_origin and index is not None:
-                hit = index_lookup(d, c, t, v)
-                if hit is None:
-                    if recovery is not None and self._recovering:
-                        if truth_holds(d, v, c):
-                            result.hits_lost_to_recovery += 1
-                    elif index_stale and truth_holds(d, v, c):
-                        index.record_false_miss()
-                    remote_served = False
-                else:
-                    remote_served, memory = failover(hit, c, d, s, v, t)
-                if remote_served:
-                    n_requests += 1
-                    total_bytes += s
-                    rb_hits += 1
-                    rb_bytes += s
-                    if memory is None:
-                        remote_storage_time += -(-s // disk_page) * disk_pt
-                    elif memory:
-                        rb_mem_hits += 1
-                        rb_mem_bytes += s
-                        remote_storage_time += -(-s // mem_block) * mem_bt
-                    else:
-                        rb_disk_hits += 1
-                        rb_disk_bytes += s
-                        remote_storage_time += -(-s // disk_page) * disk_pt
-                    if sec_transfer is not None:
-                        security_time += sec_transfer(s)
-                    if caches_remote:
-                        # inlined _browser_put
-                        if browser_puts is None:
-                            browser_put(c, d, s, v, t)
-                        else:
-                            bce = browser_entries[c]
-                            already = d in bce
-                            self._now = t
-                            browser_puts[c](d, s, v)
-                            if d in bce:
-                                record_insert(c, d, v, s, t, index_ttl, already)
-                            elif already:
-                                record_evict(c, d, t)
-                        stamp(browsers[c], d, t, last_mod)
-                        if cache_remote_at_proxy and proxy_put is not None:
-                            proxy_put(d, s, v)
-                            stamp(proxy, d, t, last_mod)
-                    served = True
-                    n = index.n_entries
-                    if n > peak_entries:
-                        peak_entries = n
-                        peak_footprint = index.footprint_bytes()
-
-            # 4. origin server
-            if not served:
-                n_requests += 1
-                total_bytes += s
-                og_misses += 1
-                og_bytes += s
-                origin_miss_time += (wan_setup + s * BITS / wan_bw) + (
-                    lan_setup + s * BITS / lan_bw
-                )
-                if proxy_put is not None:
-                    proxy_put(d, s, v)
-                    stamp(proxy, d, t, last_mod)
-                if has_browsers:
-                    # inlined _browser_put
-                    if browser_puts is None:
-                        browser_put(c, d, s, v, t)
-                    elif record_insert is None:
-                        browser_puts[c](d, s, v)
-                    else:
-                        bce = browser_entries[c]
-                        already = d in bce
-                        self._now = t
-                        browser_puts[c](d, s, v)
-                        if d in bce:
-                            record_insert(c, d, v, s, t, index_ttl, already)
-                        elif already:
-                            record_evict(c, d, t)
-                    stamp(browsers[c], d, t, last_mod)
-                if index is not None:
-                    n = index.n_entries
-                    if n > peak_entries:
-                        peak_entries = n
-                        peak_footprint = index.footprint_bytes()
-
-        # -- flush the batched counters --------------------------------
-        result.n_requests += n_requests
-        result.total_bytes += total_bytes
-        by_location = result.by_location
-        stats = by_location[HitLocation.LOCAL_BROWSER]
-        stats.hits += lb_hits
-        stats.hit_bytes += lb_bytes
-        stats.memory_hits += lb_mem_hits
-        stats.memory_hit_bytes += lb_mem_bytes
-        stats.disk_hits += lb_disk_hits
-        stats.disk_hit_bytes += lb_disk_bytes
-        stats = by_location[HitLocation.PROXY]
-        stats.hits += px_hits
-        stats.hit_bytes += px_bytes
-        stats.memory_hits += px_mem_hits
-        stats.memory_hit_bytes += px_mem_bytes
-        stats.disk_hits += px_disk_hits
-        stats.disk_hit_bytes += px_disk_bytes
-        stats = by_location[HitLocation.REMOTE_BROWSER]
-        stats.hits += rb_hits
-        stats.hit_bytes += rb_bytes
-        stats.memory_hits += rb_mem_hits
-        stats.memory_hit_bytes += rb_mem_bytes
-        stats.disk_hits += rb_disk_hits
-        stats.disk_hit_bytes += rb_disk_bytes
-        stats = by_location[HitLocation.ORIGIN]
-        stats.misses += og_misses
-        stats.miss_bytes += og_bytes
-        overhead.local_hit_time += local_hit_time
-        overhead.proxy_hit_time += proxy_hit_time
-        overhead.origin_miss_time += origin_miss_time
-        overhead.remote_storage_time += remote_storage_time
-        overhead.security_time += security_time
-        result.index_peak_entries = peak_entries
-        result.index_peak_footprint_bytes = peak_footprint
-
-        return self._finalise()
-
-    # -- instrumented loop variants ------------------------------------------
-
-    def _run_fast_profiled(self) -> SimulationResult:
-        """The fast loop with per-phase timers (results bit-identical).
-
-        Written in the straight-line style of the reference engine —
-        direct counter updates in request order produce the same float
-        accumulation sequence as the batched fast path, so only the
-        wall-clock observation differs.
-        """
-        features = self.features
-        config = self.config
-        result = self.result
-        overhead = result.overhead
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
-        lan = config.lan
-        wan = config.wan
-        prof = self.profile
-        pc = perf_counter
-        security = self._security
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-
-        for t, c, d, s, v in self.trace.iter_rows():
-            if recovery is not None:
-                t0 = pc()
-                crashed = recovery(t)
-                prof.add("recovery", pc() - t0)
-                if crashed:
-                    proxy = self.proxy
-                    index = self.index
-
-            # 1. local browser cache
-            if features.has_browsers:
-                t0 = pc()
-                entry, memory = self._get(browsers[c], d)
-                hit = entry is not None and entry.version == v
-                if hit:
-                    result.record(HitLocation.LOCAL_BROWSER, s, memory)
-                    overhead.local_hit_time += self._storage_time(s, memory)
-                prof.add("browser_probe", pc() - t0)
-                if hit:
-                    continue
-
-            # 2. proxy cache
-            if proxy is not None:
-                t0 = pc()
-                entry, memory = self._get(proxy, d)
-                hit = entry is not None and entry.version == v
-                if hit:
-                    result.record(HitLocation.PROXY, s, memory)
-                    overhead.proxy_hit_time += self._storage_time(
-                        s, memory
-                    ) + lan.transfer_time(s)
-                    if features.has_browsers:
-                        self._browser_put(c, d, s, v, t)
-                prof.add("proxy_probe", pc() - t0)
-                if hit:
-                    continue
-
-            # 3. browser index -> remote browser cache (with failover)
-            if index is not None:
-                t0 = pc()
-                remote_served, memory = self._remote_delivery(c, d, s, v, t, prof=prof)
-                if remote_served:
-                    result.record(HitLocation.REMOTE_BROWSER, s, memory)
-                    overhead.remote_storage_time += self._storage_time(s, memory)
-                    if security is not None:
-                        overhead.security_time += security.transfer_cost(s)
-                    if features.caches_remote_fetches:
-                        self._browser_put(c, d, s, v, t)
-                        if config.cache_remote_hits_at_proxy and proxy is not None:
-                            proxy.put(d, s, v)
-                    self._track_index_peak()
-                prof.add("remote_delivery", pc() - t0)
-                if remote_served:
-                    continue
-
-            # 4. origin server
-            t0 = pc()
-            result.record(HitLocation.ORIGIN, s)
-            overhead.origin_miss_time += wan.fetch_time(s) + lan.transfer_time(s)
-            if proxy is not None:
-                proxy.put(d, s, v)
-            if features.has_browsers:
-                self._browser_put(c, d, s, v, t)
-            if index is not None:
-                self._track_index_peak()
-            prof.add("origin_fetch", pc() - t0)
-
-        return self._finalise()
-
-    def _run_coherent_profiled(self) -> SimulationResult:
-        """The coherent loop with per-phase timers (results identical)."""
-        features = self.features
-        config = self.config
-        result = self.result
-        overhead = result.overhead
-        cstats = result.consistency_stats
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
-        lan = config.lan
-        wan = config.wan
-        policy = config.consistency
-        prof = self.profile
-        pc = perf_counter
-        security = self._security
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-
-        last_modified: dict[int, float] = {}
-        seen_version: dict[int, int] = {}
-
-        def coherence_action(entry, v: int, t: float, last_mod: float) -> str:
-            if t <= entry.expires_at:
-                return "serve"
-            cstats.validations += 1
-            overhead.validation_time += wan.connection_setup
-            if entry.version == v:
-                cstats.validated_hits += 1
-                entry.expires_at = policy.expires_at(t, last_mod)
-                return "validated"
-            cstats.validation_misses += 1
-            return "changed"
-
-        def stamp(cache, d: int, t: float, last_mod: float) -> None:
-            entry = cache.peek(d)
-            if entry is not None:
-                entry.expires_at = policy.expires_at(t, last_mod)
-
-        for t, c, d, s, v in self.trace.iter_rows():
-            if recovery is not None:
-                t0 = pc()
-                crashed = recovery(t)
-                prof.add("recovery", pc() - t0)
-                if crashed:
-                    proxy = self.proxy
-                    index = self.index
-
-            sv = seen_version.get(d)
-            if sv is None or v > sv:
-                seen_version[d] = v
-                last_modified[d] = t
-            last_mod = last_modified[d]
-            served = False
-            go_origin = False
-
-            # 1. local browser cache
-            if features.has_browsers:
-                t0 = pc()
-                entry, memory = self._get(browsers[c], d)
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action in ("serve", "validated"):
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        result.record(HitLocation.LOCAL_BROWSER, s, memory)
-                        overhead.local_hit_time += self._storage_time(s, memory)
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-                prof.add("browser_probe", pc() - t0)
-
-            # 2. proxy cache
-            if not served and not go_origin and proxy is not None:
-                t0 = pc()
-                entry, memory = self._get(proxy, d)
-                if entry is not None:
-                    action = coherence_action(entry, v, t, last_mod)
-                    if action in ("serve", "validated"):
-                        if action == "serve" and entry.version != v:
-                            cstats.stale_deliveries += 1
-                            cstats.stale_bytes += s
-                        result.record(HitLocation.PROXY, s, memory)
-                        overhead.proxy_hit_time += self._storage_time(
-                            s, memory
-                        ) + lan.transfer_time(s)
-                        if features.has_browsers:
-                            self._browser_put(c, d, s, entry.version, t)
-                            stamp(browsers[c], d, t, last_mod)
-                        served = True
-                    elif action == "changed":
-                        go_origin = True
-                prof.add("proxy_probe", pc() - t0)
-
-            # 3. browser index -> remote browser cache (exact match only,
-            #    with failover)
-            if not served and not go_origin and index is not None:
-                t0 = pc()
-                remote_served, memory = self._remote_delivery(c, d, s, v, t, prof=prof)
-                if remote_served:
-                    result.record(HitLocation.REMOTE_BROWSER, s, memory)
-                    overhead.remote_storage_time += self._storage_time(s, memory)
-                    if security is not None:
-                        overhead.security_time += security.transfer_cost(s)
-                    if features.caches_remote_fetches:
-                        self._browser_put(c, d, s, v, t)
-                        stamp(browsers[c], d, t, last_mod)
-                        if config.cache_remote_hits_at_proxy and proxy is not None:
-                            proxy.put(d, s, v)
-                            stamp(proxy, d, t, last_mod)
-                    served = True
-                    self._track_index_peak()
-                prof.add("remote_delivery", pc() - t0)
-
-            # 4. origin server
-            if not served:
-                t0 = pc()
-                result.record(HitLocation.ORIGIN, s)
-                overhead.origin_miss_time += wan.fetch_time(s) + lan.transfer_time(s)
-                if proxy is not None:
-                    proxy.put(d, s, v)
-                    stamp(proxy, d, t, last_mod)
-                if features.has_browsers:
-                    self._browser_put(c, d, s, v, t)
-                    stamp(browsers[c], d, t, last_mod)
-                if index is not None:
-                    self._track_index_peak()
-                prof.add("origin_fetch", pc() - t0)
-
-        return self._finalise()
+    def _phase_counts(self, result: SimulationResult) -> dict[str, int]:
+        """Requests reaching each step of the loop, read off the
+        finalised result (see :data:`repro.util.profiling.PHASES`)."""
+        n = result.n_requests
+        recovers = self._fault_schedule is not None or self._checkpointer is not None
+        return {
+            "recovery": n if recovers else 0,
+            "browser_probe": n if self.features.has_browsers else 0,
+            "proxy_probe": (
+                n - result.by_location[HitLocation.LOCAL_BROWSER].hits
+                if self.features.has_proxy
+                else 0
+            ),
+            "index_lookup": result.index_lookups,
+            "remote_delivery": result.index_lookups,
+            "origin_fetch": result.by_location[HitLocation.ORIGIN].misses,
+        }
 
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
         """Does any other browser actually hold (doc, version)?"""
@@ -1861,12 +1246,6 @@ class Simulator:
             if held is not None and held.version == version:
                 return True
         return False
-
-    def _track_index_peak(self) -> None:
-        n = self.index.n_entries
-        if n > self.result.index_peak_entries:
-            self.result.index_peak_entries = n
-            self.result.index_peak_footprint_bytes = self.index.footprint_bytes()
 
     def _finalise(self) -> SimulationResult:
         result = self.result
@@ -1889,9 +1268,35 @@ class Simulator:
             result.overhead.index_update_messages = messages
         if self._checkpointer is not None:
             result.checkpoint_bytes_written = self._checkpointer.bytes_written
-        if self._monitor is not None:
-            self._monitor.check_final(result)
+        # The conservation and ledger laws hold on every run; only the
+        # per-request ticks are opt-in.
+        (self._monitor or InvariantMonitor(self.config, 1)).check_final(result)
         return result
+
+
+#: The replay loop's phase markers for the profiler, in source order:
+#: each line of :meth:`Simulator._replay` from a marker down to the
+#: next is charged to the marker's phase (``None``: to no phase).  The
+#: index lookup is its own one-line phase inside step 3; the fill tail
+#: is charged to the step that served the request, named by the loop's
+#: ``via`` local.
+_PHASE_MARKERS = (
+    ("# 0. proxy crash recovery", "recovery"),
+    ("# -- per-request hooks", None),
+    ("# 1. local browser cache", "browser_probe"),
+    ("# 2. proxy cache", "proxy_probe"),
+    ("# 3. browser index", "remote_delivery"),
+    ("hit = index_lookup(", "index_lookup"),
+    ("if hit is None:", "remote_delivery"),
+    ("# 4. origin server", "origin_fetch"),
+    ("# -- fill tail", TAIL),
+    ("# -- flush the batched counters", None),
+)
+
+
+@functools.cache
+def _loop_phase_map() -> PhaseMap:
+    return PhaseMap(Simulator._replay, _PHASE_MARKERS, tail_local="via")
 
 
 def simulate(
@@ -1902,25 +1307,21 @@ def simulate(
 ) -> SimulationResult:
     """Convenience one-shot: build a :class:`Simulator` and run it.
 
-    ``profile`` (a :class:`~repro.util.profiling.ReplayProfile`) opts
-    into the instrumented loops; results are bit-identical either way.
+    ``profile`` (a :class:`~repro.util.profiling.ReplayProfile`) runs
+    the same loop under the phase sampler; results are bit-identical
+    either way.
 
     With ``config.federation`` set the replay dispatches to the
     cooperative multi-proxy engine (:mod:`repro.federation.engine`)
     instead — same entry point, so sweeps, the journal, and the
     process-pool workers need no federation-specific wiring.  The
-    federated loop is straight-line (no instrumented variant);
-    ``profile`` still accumulates wall clock and request counts.
+    federated loop is not sampled: ``profile`` accumulates only its
+    wall clock and request count.
     """
     if config.federation is not None:
         # Imported lazily: repro.federation imports this module.
         from repro.federation.engine import FederatedSimulator
 
-        if profile is None:
-            return FederatedSimulator(trace, organization, config).run()
-        t0 = perf_counter()
-        result = FederatedSimulator(trace, organization, config).run()
-        profile.wall_seconds += perf_counter() - t0
-        profile.n_requests += result.n_requests
-        return result
+        engine = FederatedSimulator(trace, organization, config)
+        return engine.run() if profile is None else profile.time_replay(engine.run)
     return Simulator(trace, organization, config, profile=profile).run()

@@ -43,6 +43,7 @@ from __future__ import annotations
 from array import array
 
 from repro.cache import make_cache
+from repro.core.chaos import InvariantMonitor
 from repro.core.config import SimulationConfig
 from repro.core.events import HitLocation
 from repro.core.metrics import SimulationResult
@@ -407,8 +408,9 @@ class StreamSimulator:
         caches_remote = features.caches_remote_fetches
         cache_remote_at_proxy = config.cache_remote_hits_at_proxy
 
-        # Inlined timing models — identical arithmetic to _run_fast so
-        # the accumulated floats match the materialised engine exactly.
+        # Inlined timing models — identical arithmetic to
+        # Simulator._replay, so the accumulated floats match the
+        # materialised engine exactly.
         lan = config.lan
         wan = config.wan
         storage = config.storage
@@ -433,7 +435,7 @@ class StreamSimulator:
         security = config.security
         sec_transfer = security.transfer_cost if security is not None else None
 
-        # Batched counters, flushed once (same discipline as _run_fast).
+        # Batched counters, flushed once (as in Simulator._replay).
         n_requests = 0
         total_bytes = 0
         lb_hits = lb_bytes = 0
@@ -555,6 +557,7 @@ class StreamSimulator:
             result.index_stats = index.stats
             result.index_lookups = index.n_lookups
             overhead.index_update_messages = index.update_messages
+        InvariantMonitor(config, 1).check_final(result)
         return result
 
 

@@ -389,8 +389,8 @@ class FederatedSimulator:
     # -- accounting ----------------------------------------------------------
 
     def _track_peak(self) -> None:
-        """Aggregate index peak across all proxies (reduces to
-        ``Simulator._track_index_peak`` for one proxy)."""
+        """Aggregate index peak across all proxies (reduces to the
+        replay loop's single-index peak tracking for one proxy)."""
         sims = self.sims
         total = 0
         for sim in sims:
@@ -442,8 +442,9 @@ class FederatedSimulator:
             result.overhead.index_update_messages = messages
         if has_checkpointer:
             result.checkpoint_bytes_written = checkpoint_bytes
-        if self.monitor is not None:
-            self.monitor.check_final(result)
+        # The conservation and ledger laws hold on every run; only the
+        # per-request ticks are opt-in.
+        (self.monitor or InvariantMonitor(self.config, 1)).check_final(result)
         return result
 
 

@@ -26,9 +26,11 @@ from repro.core import (
     simulate,
     simulate_stream,
 )
+from repro.consistency.policies import FixedTTLPolicy
 from repro.core.churn import ChurnModel
 from repro.core.proxy_faults import ProxyFaultModel
 from repro.core.simulator import Simulator
+from repro.util.profiling import ReplayProfile
 from repro.experiments import chaos as chaos_experiment
 from repro.federation import FederatedSimulator, LinkFaultModel, PartitionSchedule
 from repro.traces.profiles import small_paper_trace
@@ -304,6 +306,26 @@ def test_monitor_runs_mid_replay_and_stays_clean(small_trace):
     # checked during the replay, not just at finalise.
     assert sim._monitor is not None
     assert sim._monitor.checks_run >= len(small_trace) // 500 - 1
+
+
+@pytest.mark.parametrize("consistency", [None, FixedTTLPolicy(ttl=600.0)])
+def test_profiled_run_keeps_the_invariant_monitor_ticking(small_trace, consistency):
+    """A profiled run is the production run: the armed monitor ticks
+    exactly as often, with and without coherence, and the results
+    match field for field."""
+    config = SimulationConfig.relative(
+        small_trace,
+        proxy_frac=0.10,
+        consistency=consistency,
+        chaos=ChaosPlan(check_invariants_every=100),
+    )
+    plain = Simulator(small_trace, ORG, config)
+    profiled = Simulator(small_trace, ORG, config, profile=ReplayProfile())
+    plain_result = plain.run()
+    profiled_result = profiled.run()
+    assert plain._monitor.checks_run > len(small_trace) // 100 - 1
+    assert profiled._monitor.checks_run == plain._monitor.checks_run
+    assert dataclasses.asdict(profiled_result) == dataclasses.asdict(plain_result)
 
 
 def test_monitor_clean_on_federated_partition_run(small_trace):
