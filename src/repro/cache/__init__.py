@@ -13,11 +13,16 @@ semantics:
 * evictions can be observed through ``on_evict`` — this is how a
   browser cache sends invalidation messages to the proxy's browser
   index file.
+
+:class:`FlatBrowsers` holds a whole population of LRU browser caches
+in one flat slot pool; its ``put`` returns the evicted keys instead of
+calling a hook.
 """
 
 from repro.cache.base import Cache, CacheEntry
 from repro.cache.lru import LRUCache
 from repro.cache.fifo import FIFOCache
+from repro.cache.flat import FlatBrowsers
 from repro.cache.lfu import LFUCache
 from repro.cache.size_policy import SizeCache
 from repro.cache.gdsf import GDSFCache
@@ -50,6 +55,7 @@ __all__ = [
     "CacheEntry",
     "LRUCache",
     "FIFOCache",
+    "FlatBrowsers",
     "LFUCache",
     "SizeCache",
     "GDSFCache",

@@ -33,7 +33,15 @@ Every configuration replays through **one loop**
 coherence, proxy crash recovery, the quarantine guard, the invariant
 monitor — is bound into hooks once per run, before the loop starts,
 and steps 2–4 fall through to one shared *fill tail* that populates
-the caches the serving step names.  The loop is the throughput
+the caches the serving step names.  Client state has two backends
+behind the same loop: one cache object per client (the default), or
+every LRU browser cache in one flat :class:`~repro.cache.FlatBrowsers`
+slot pool (:class:`~repro.core.stream_engine.StreamSimulator`, for
+million-client cells and streamed sources).  The flat backend takes
+its own arm in the browser probe, :meth:`_browser_put`, the holder
+lookup and the whole-population walks; it has no tiered or
+per-entry-expiry state, so ``StreamSimulator`` rejects those knobs
+(and federation) by name.  The loop is the throughput
 bottleneck of every sweep, so it is written as an *optimized fast
 path*: per-request counters accumulate in local variables and flush
 into the result once at finalise, the timing arithmetic of the
@@ -58,7 +66,7 @@ import functools
 import random
 
 from repro.adversarial import PeerPopulation
-from repro.cache import TieredLRUCache, make_cache
+from repro.cache import FlatBrowsers, TieredLRUCache, make_cache
 from repro.cache.base import CacheEntry
 from repro.core.chaos import InvariantMonitor
 from repro.core.churn import ChurnProcess
@@ -140,6 +148,11 @@ class Simulator:
     identity digests (``config_digest``) are unaffected.
     """
 
+    #: Client-state backend: one cache object per client (False), or
+    #: every LRU browser cache in one :class:`~repro.cache.FlatBrowsers`
+    #: slot pool (True; see :class:`~repro.core.stream_engine.StreamSimulator`).
+    flat_clients = False
+
     def __init__(
         self,
         trace: Trace,
@@ -176,14 +189,17 @@ class Simulator:
             if config.browser_memory_fraction is not None
             else config.memory_fraction
         )
+        self.browsers = []
+        self.flat = None
         if self.features.has_browsers:
             capacities = self._browser_capacities(n_clients)
-            self.browsers = [
-                self._new_cache(config.browser_policy, capacities[c], browser_mem)
-                for c in range(n_clients)
-            ]
-        else:
-            self.browsers = []
+            if self.flat_clients:
+                self.flat = FlatBrowsers(capacities)
+            else:
+                self.browsers = [
+                    self._new_cache(config.browser_policy, capacities[c], browser_mem)
+                    for c in range(n_clients)
+                ]
 
         self.proxy = (
             self._new_cache(config.proxy_policy, config.proxy_capacity, config.memory_fraction)
@@ -491,13 +507,23 @@ class Simulator:
             overhead.wasted_round_trip_time += setup
             overhead.wasted_offline_time += setup
             return False, None
-        holder_cache = self.browsers[holder]
-        if config.remote_hit_refreshes_holder:
-            held, memory = self._get(holder_cache, d)
+        flat = self.flat
+        if flat is not None:
+            if config.remote_hit_refreshes_holder:
+                slot = flat.probe(holder, d)
+            else:
+                slot = flat.peek(holder, d)
+            held = flat.e_ver[slot] if slot >= 0 else None
+            memory = None
         else:
-            held = holder_cache.peek(d)
-            memory = self._peek_tier(holder_cache, d)
-        if held is None or held.version != v:
+            holder_cache = self.browsers[holder]
+            if config.remote_hit_refreshes_holder:
+                entry, memory = self._get(holder_cache, d)
+            else:
+                entry = holder_cache.peek(d)
+                memory = self._peek_tier(holder_cache, d)
+            held = entry.version if entry is not None else None
+        if held != v:
             # Stale index: the holder no longer has this document.
             self.index.record_false_hit(holder, d)
             result.index_false_hits += 1
@@ -628,28 +654,43 @@ class Simulator:
         return storage.disk_time(n_bytes)
 
     def _browser_put(self, client: int, doc: int, size: int, version: int, now: float) -> None:
-        """Insert into a browser cache, keeping the index in sync."""
-        cache = self.browsers[client]
+        """Insert into a browser cache, keeping the index in sync.
+
+        Index events follow the put's own order on both backends: the
+        evictions it caused first, then the insert (or the eviction of
+        the refreshed document itself)."""
         index = self.index
-        if index is not None:
-            already = doc in cache
-            self._now = now
-            cache.put(doc, size, version)
-            # An oversized object is refused; only index what is cached.
-            if doc in cache:
-                index.record_insert(
-                    client,
-                    doc,
-                    version,
-                    size,
-                    now,
-                    ttl=self.config.index_entry_ttl,
-                    replace=already,
-                )
-            elif already:
-                index.record_evict(client, doc, now)
+        flat = self.flat
+        if flat is not None:
+            if index is None:
+                flat.put(client, doc, size, version)
+                return
+            already = flat.peek(client, doc) >= 0
+            for evicted in flat.put(client, doc, size, version):
+                index.record_evict(client, evicted, now)
+            cached = flat.peek(client, doc) >= 0
         else:
+            cache = self.browsers[client]
+            if index is None:
+                cache.put(doc, size, version)
+                return
+            already = doc in cache
+            self._now = now  # read by the cache's on_evict hook
             cache.put(doc, size, version)
+            cached = doc in cache
+        # An oversized object is refused; only index what is cached.
+        if cached:
+            index.record_insert(
+                client,
+                doc,
+                version,
+                size,
+                now,
+                ttl=self.config.index_entry_ttl,
+                replace=already,
+            )
+        elif already:
+            index.record_evict(client, doc, now)
 
     # -- proxy crash recovery ------------------------------------------------
 
@@ -728,9 +769,12 @@ class Simulator:
                 result.overhead.checkpoint_time += self._checkpointer.restore_time()
             self._checkpointer.reset_after_crash(tc)
         rate = self.config.reannounce_rate
-        announcers = [
-            cid for cid, cache in enumerate(self.browsers) if len(cache) > 0
-        ]
+        if self.flat is not None:
+            announcers = [cid for cid, n in enumerate(self.flat.count) if n > 0]
+        else:
+            announcers = [
+                cid for cid, cache in enumerate(self.browsers) if len(cache) > 0
+            ]
         self._pending_reannounce = [
             (tc + (i + 1) / rate, cid) for i, cid in enumerate(announcers)
         ]
@@ -755,13 +799,21 @@ class Simulator:
         pending = self._pending_reannounce
         pos = self._reannounce_pos
         ttl = self.config.index_entry_ttl
+        flat = self.flat
         while pos < len(pending) and pending[pos][0] <= t:
             due, cid = pending[pos]
-            cache = self.browsers[cid]
+            # (doc, version, size) from LRU to MRU on both backends
             items = []
-            for doc in cache:
-                entry = cache.peek(doc)
-                items.append((doc, entry.version, entry.size))
+            if flat is not None:
+                slot = flat.head[cid]
+                while slot >= 0:
+                    items.append((flat.e_doc[slot], flat.e_ver[slot], flat.e_size[slot]))
+                    slot = flat.e_next[slot]
+            else:
+                cache = self.browsers[cid]
+                for doc in cache:
+                    entry = cache.peek(doc)
+                    items.append((doc, entry.version, entry.size))
             self.index.reannounce(cid, items, due, ttl=ttl)
             pos += 1
         self._reannounce_pos = pos
@@ -872,12 +924,16 @@ class Simulator:
         BITS = BITS_PER_BYTE
 
         # Precomputed per-client handles (plain caches only; the tiered
-        # model keeps the uniform _get/_browser_put wrappers): bound
-        # `get`s and `put`s and direct entry-table views for the
-        # membership probes, plus the index event methods bound once
-        # (rebound after a crash).
+        # model keeps the uniform _get/_browser_put wrappers, the flat
+        # pool probes through its own handles and fills through
+        # _browser_put): bound `get`s and `put`s and direct entry-table
+        # views for the membership probes, plus the index event methods
+        # bound once (rebound after a crash).
         self_get = self._get
-        plain_browsers = has_browsers and not tiered
+        flat = self.flat
+        flat_probe = flat.probe if flat is not None else None
+        flat_ver = flat.e_ver if flat is not None else None
+        plain_browsers = has_browsers and not tiered and flat is None
         browser_gets = [b.get for b in browsers] if plain_browsers else None
         browser_puts = [b.put for b in browsers] if plain_browsers else None
         browser_entries = [b._entries for b in browsers] if plain_browsers else None
@@ -971,37 +1027,42 @@ class Simulator:
 
             # 1. local browser cache
             if has_browsers:
-                if lru_b:
-                    bce = browser_entries[c]
-                    entry = bce.get(d)
-                    if entry is not None:
-                        bce.move_to_end(d)
-                elif tiered:
-                    entry, memory = self_get(browsers[c], d)
+                if flat is not None:
+                    slot = flat_probe(c, d)
+                    entry = None
+                    current = slot >= 0 and flat_ver[slot] == v
                 else:
-                    entry = browser_gets[c](d)
-                if entry is not None:
-                    if (
+                    if lru_b:
+                        bce = browser_entries[c]
+                        entry = bce.get(d)
+                        if entry is not None:
+                            bce.move_to_end(d)
+                    elif tiered:
+                        entry, memory = self_get(browsers[c], d)
+                    else:
+                        entry = browser_gets[c](d)
+                    current = entry is not None and (
                         entry.version == v
                         if fresh is None
                         else fresh(entry, v, s, t, last_mod)
-                    ):
-                        n_requests += 1
-                        total_bytes += s
-                        lb_hits += 1
-                        lb_bytes += s
-                        if memory is None:
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                        elif memory:
-                            lb_mem_hits += 1
-                            lb_mem_bytes += s
-                            local_hit_time += -(-s // mem_block) * mem_bt
-                        else:
-                            lb_disk_hits += 1
-                            lb_disk_bytes += s
-                            local_hit_time += -(-s // disk_page) * disk_pt
-                        continue
-                    go_origin = coherent
+                    )
+                if current:
+                    n_requests += 1
+                    total_bytes += s
+                    lb_hits += 1
+                    lb_bytes += s
+                    if memory is None:
+                        local_hit_time += -(-s // disk_page) * disk_pt
+                    elif memory:
+                        lb_mem_hits += 1
+                        lb_mem_bytes += s
+                        local_hit_time += -(-s // mem_block) * mem_bt
+                    else:
+                        lb_disk_hits += 1
+                        lb_disk_bytes += s
+                        local_hit_time += -(-s // disk_page) * disk_pt
+                    continue
+                go_origin = coherent and entry is not None
 
             # 2. proxy cache
             via = None
@@ -1239,6 +1300,15 @@ class Simulator:
 
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
         """Does any other browser actually hold (doc, version)?"""
+        flat = self.flat
+        if flat is not None:
+            e_ver = flat.e_ver
+            for cid in range(len(flat.caps)):
+                if cid != exclude:
+                    slot = flat.peek(cid, doc)
+                    if slot >= 0 and e_ver[slot] == version:
+                        return True
+            return False
         for cid, cache in enumerate(self.browsers):
             if cid == exclude:
                 continue

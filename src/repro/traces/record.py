@@ -206,6 +206,11 @@ class Trace:
         return int(np.unique(self.docs).size)
 
     @property
+    def max_doc_id(self) -> int:
+        """Largest document id (-1 if empty)."""
+        return int(self.docs.max()) if len(self) else -1
+
+    @property
     def total_bytes(self) -> int:
         """Total bytes requested (sum of response sizes over requests)."""
         return int(self.sizes.sum())

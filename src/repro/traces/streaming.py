@@ -134,6 +134,15 @@ class TraceStream:
     def has_dense_clients(self) -> bool:
         return self._max_client + 1 == self._n_distinct_clients
 
+    def _client_id_info(self) -> tuple[int, int]:
+        """``(n_distinct, max_id)``, as :meth:`Trace._client_id_info`."""
+        return self._n_distinct_clients, self._max_client
+
+    @property
+    def max_doc_id(self) -> int:
+        """Largest document id in the stream (from calibration)."""
+        return self._max_doc
+
     @property
     def total_bytes(self) -> int:
         return self._total_bytes
@@ -214,6 +223,7 @@ class TraceStream:
         unique_keys, inverse = np.unique(packed, return_inverse=True)
         doc_ids = packed >> _VERSION_BITS
         n_docs = int(doc_ids.max()) + 1
+        self._max_doc = n_docs - 1
         counts = np.bincount(doc_ids, minlength=n_docs).astype(np.float64)
         del packed, doc_ids
 

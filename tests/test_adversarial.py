@@ -405,23 +405,38 @@ def test_adversarial_sweep_resumes_from_journal_bit_identical(
 
 
 # ---------------------------------------------------------------------------
-# streaming engine rejects the new knobs by name
+# the flat client-state backend replays the same hostile populations
 
 
-def test_stream_engine_rejects_adversarial_profiles(small_trace):
+def test_stream_engine_replays_adversarial_profiles(small_trace):
+    span = small_trace.duration
     config = SimulationConfig.relative(small_trace, proxy_frac=0.1).with_(
-        adversarial=AdversarialConfig()
+        adversarial=AdversarialConfig(
+            polluter_fraction=0.2,
+            flapper_fraction=0.2,
+            flap_schedule=MassChurnSchedule(windows=((0.3 * span, 0.7 * span),)),
+        ),
+        max_holder_retries=2,
     )
-    with pytest.raises(ValueError, match="adversarial"):
-        simulate_stream(small_trace, BAPS, config)
+    expected = simulate(small_trace, BAPS, config)
+    assert expected.corrupt_deliveries > 0
+    got = simulate_stream(small_trace, BAPS, config)
+    assert dataclasses.asdict(got) == dataclasses.asdict(expected)
 
 
-def test_stream_engine_rejects_quarantine(small_trace):
-    base = SimulationConfig.relative(small_trace, proxy_frac=0.1)
-    with pytest.raises(ValueError, match="quarantine"):
-        simulate_stream(small_trace, BAPS, base.with_(quarantine_threshold=1))
-    with pytest.raises(ValueError, match="quarantine"):
-        simulate_stream(small_trace, BAPS, base.with_(static_blacklist=(0,)))
+def test_stream_engine_replays_quarantine(small_trace):
+    base = SimulationConfig.relative(small_trace, proxy_frac=0.1).with_(
+        adversarial=AdversarialConfig(polluter_fraction=0.2),
+        max_holder_retries=2,
+    )
+    for config in (
+        base.with_(quarantine_threshold=1),
+        base.with_(static_blacklist=(0,)),
+    ):
+        expected = simulate(small_trace, BAPS, config)
+        assert expected.quarantine_rescued_hits > 0
+        got = simulate_stream(small_trace, BAPS, config)
+        assert dataclasses.asdict(got) == dataclasses.asdict(expected)
 
 
 # ---------------------------------------------------------------------------

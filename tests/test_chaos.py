@@ -433,19 +433,27 @@ def test_quarantine_under_partition_composes(small_trace):
     assert_result_roundtrips(result)
 
 
-# -- streaming engine stays honest about its subset ---------------------------
+# -- the flat client-state backend: chaos replays, link faults do not ---------
 
 
-def test_stream_rejects_chaos_and_link_faults(small_trace):
+def test_stream_replays_chaos_and_rejects_link_faults(small_trace):
     cfg = SimulationConfig.relative(
         small_trace, proxy_frac=0.10, browser_sizing="minimum"
     )
-    with pytest.raises(
-        ValueError, match="simulate_stream does not support chaos plans"
-    ):
-        simulate_stream(
-            small_trace, ORG, cfg.with_(chaos=ChaosPlan(seed=1))
-        )
+    span = small_trace.duration
+    chaos = cfg.with_(
+        chaos=ChaosPlan(
+            proxy_faults=ProxyFaultModel(crash_times=(0.5 * span,)),
+            churn=ChurnModel(),
+            seed=1,
+            check_invariants_every=500,
+        ),
+        max_holder_retries=2,
+    )
+    expected = simulate(small_trace, ORG, chaos)
+    assert expected.proxy_crashes == 1 and expected.holder_unavailable > 0
+    got = simulate_stream(small_trace, ORG, chaos)
+    assert dataclasses.asdict(got) == dataclasses.asdict(expected)
     link = LinkFaultModel(partition_windows=((0.0, 1.0),))
     with pytest.raises(
         ValueError, match="simulate_stream does not support link_faults"

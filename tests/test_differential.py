@@ -12,7 +12,9 @@ checkpointing, re-announcement, tiered caches, bloom vs exact index,
 periodic index updates, TTL'd index entries, FIFO vs LRU, consistency
 policies — both engines must produce exactly equal
 :class:`~repro.core.metrics.SimulationResult`\\ s, compared field for
-field through :func:`dataclasses.asdict`.
+field through :func:`dataclasses.asdict`.  The same holds for the flat
+client-state backend (``simulate_stream``) on the configurations it
+accepts.
 
 The example budget follows ``HYPOTHESIS_PROFILE``: 25 examples per
 test by default (fast enough for the tier-1 run), 200 under the
@@ -26,7 +28,7 @@ import os
 
 import hypothesis.strategies as st
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 from repro.consistency.policies import (
     AdaptiveTTLPolicy,
@@ -39,6 +41,7 @@ from repro.core.policies import Organization
 from repro.core.proxy_faults import ProxyFaultModel
 from repro.core.reference import reference_simulate
 from repro.core.simulator import simulate
+from repro.core.stream_engine import simulate_stream
 from repro.index.checkpoint import CheckpointPolicy
 from repro.index.staleness import PeriodicUpdatePolicy
 from repro.traces.record import Trace
@@ -178,3 +181,19 @@ def test_profiled_matches_reference(trace, config, org):
     assert opt == ref
     assert profile.n_requests == len(trace)
     assert profile.wall_seconds > 0.0
+
+
+@given(trace=traces(), config=configs(), org=ORGS)
+@settings(
+    # about one drawn config in ten is inside the flat subset
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow]
+)
+def test_stream_matches_reference(trace, config, org):
+    """The flat client-state backend is bit-identical on its subset."""
+    assume(
+        config.browser_policy == "lru"
+        and config.memory_fraction is None
+        and config.consistency is None
+    )
+    ref = dataclasses.asdict(reference_simulate(trace, org, config))
+    assert dataclasses.asdict(simulate_stream(trace, org, config)) == ref

@@ -1,24 +1,45 @@
 """The flat-state streaming engine is bit-identical to the simulator.
 
-``simulate_stream`` replays the same request path as ``simulate`` with
+``simulate_stream`` replays the same loop as ``simulate`` with
 per-client hot state in flat arrays instead of per-client cache
 objects; every field of the returned :class:`SimulationResult` —
 counters, accumulated float overheads, index statistics — must match
 exactly for every supported configuration, whether the source is a
-materialised ``Trace`` or a ``TraceStream``.
+materialised ``Trace`` or a ``TraceStream``.  The support matrix at
+the end classifies every :class:`SimulationConfig` field as supported
+(with an identity case) or rejected by name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core import Organization, SimulationConfig, simulate, simulate_stream
+from repro.consistency.policies import FixedTTLPolicy
+from repro.core import (
+    AdversarialConfig,
+    ChaosPlan,
+    CheckpointPolicy,
+    ChurnModel,
+    FederationConfig,
+    MassChurnSchedule,
+    Organization,
+    ProxyFaultModel,
+    SimulationConfig,
+    simulate,
+    simulate_stream,
+)
 from repro.core.stream_engine import check_stream_config
+from repro.index.staleness import PeriodicUpdatePolicy
+from repro.network.ethernet import EthernetModel
+from repro.network.latency import MemoryDiskModel
+from repro.network.topology import WANModel
+from repro.security.protocols import SecurityOverheadModel
 from repro.traces import SyntheticTraceConfig, TraceStream, generate_trace
 from repro.traces.record import Trace
 
@@ -78,8 +99,6 @@ def test_identical_heterogeneous_capacities():
 
 
 def test_identical_security_model():
-    from repro.security.protocols import SecurityOverheadModel
-
     t = small_trace(5)
     cfg = SimulationConfig.relative(t, proxy_frac=0.1, browser_sizing="minimum").with_(
         security=SecurityOverheadModel()
@@ -166,10 +185,6 @@ def test_identical_zero_capacity_and_empty():
     [
         dict(memory_fraction=0.5),
         dict(browser_policy="fifo"),
-        dict(corruption_rate=0.1),
-        dict(index_kind="bloom"),
-        dict(holder_availability=0.9),
-        dict(index_update_policy="periodic"),
     ],
 )
 def test_unsupported_knobs_rejected(knob):
@@ -188,6 +203,21 @@ def test_sparse_source_rejected():
     cfg = SimulationConfig(proxy_capacity=100, browser_capacity=100)
     with pytest.raises(ValueError, match="sparse client ids"):
         simulate_stream(t, Organization.PROXY_AND_LOCAL_BROWSER, cfg)
+    # fewer requests than clients: the stream cannot cover every id
+    stream = TraceStream(SyntheticTraceConfig(n_requests=5, n_clients=50), seed=0)
+    assert not stream.has_dense_clients
+    with pytest.raises(ValueError, match="sparse client ids"):
+        simulate_stream(stream, Organization.PROXY_AND_LOCAL_BROWSER, cfg)
+
+
+def test_doc_id_beyond_packed_key_refused():
+    t = hand([(0.0, 0, 0, 10), (1.0, 1, 2**40, 10)])
+    cfg = SimulationConfig(proxy_capacity=100, browser_capacity=100)
+    with pytest.raises(ValueError, match=f"packed-key limit \\({2**40}\\)"):
+        simulate_stream(t, Organization.BROWSERS_AWARE_PROXY, cfg)
+    # one below the limit replays
+    ok = hand([(0.0, 0, 0, 10), (1.0, 1, 2**40 - 1, 10)])
+    assert_identical(ok, cfg)
 
 
 def test_capacities_must_cover_clients():
@@ -244,3 +274,110 @@ def test_flat_state_no_per_client_objects():
         f"flat replay peaked at {flat_peak:,} B, object engine at "
         f"{object_peak:,} B — expected < half"
     )
+
+
+# -- knob support matrix -------------------------------------------------------
+
+MATRIX_TRACE = small_trace(11)
+_SPAN = MATRIX_TRACE.duration
+_CRASHES = ProxyFaultModel(crash_times=(0.3 * _SPAN, 0.6 * _SPAN))
+
+#: supported config field -> overrides exercising it; each replays
+#: bit-identically through ``simulate_stream`` and ``simulate``.
+SUPPORTED = {
+    "proxy_capacity": dict(proxy_capacity=20_000),
+    "browser_capacity": dict(browser_capacity=4_000),
+    "proxy_policy": dict(proxy_policy="fifo"),
+    "browser_capacities": dict(
+        browser_capacities=tuple(2_000 + 500 * (i % 7) for i in range(25))
+    ),
+    "index_kind": dict(index_kind="bloom"),
+    "index_update_policy": dict(
+        index_update_policy=PeriodicUpdatePolicy(threshold=0.5, min_docs=8)
+    ),
+    "bloom_bits_per_doc": dict(index_kind="bloom", bloom_bits_per_doc=2.0),
+    "bloom_rebuild_threshold": dict(index_kind="bloom", bloom_rebuild_threshold=0.5),
+    "index_entry_ttl": dict(index_entry_ttl=30.0),
+    "cache_remote_hits_at_proxy": dict(cache_remote_hits_at_proxy=True),
+    "remote_hit_refreshes_holder": dict(remote_hit_refreshes_holder=False),
+    "lan": dict(lan=EthernetModel(bandwidth_bps=100e6, connection_setup=0.01)),
+    "wan": dict(wan=WANModel(connection_setup=0.2, bandwidth_bps=5e6)),
+    "storage": dict(storage=MemoryDiskModel(disk_page_bytes=8192)),
+    "security": dict(security=SecurityOverheadModel()),
+    "holder_availability": dict(holder_availability=0.6, max_holder_retries=2),
+    "churn": dict(churn=ChurnModel(mean_on_seconds=60.0, mean_off_seconds=30.0)),
+    "max_holder_retries": dict(max_holder_retries=3, holder_availability=0.5),
+    "corruption_rate": dict(corruption_rate=0.3, max_holder_retries=1),
+    "proxy_faults": dict(proxy_faults=_CRASHES),
+    "checkpoint": dict(
+        proxy_faults=_CRASHES, checkpoint=CheckpointPolicy(interval=_SPAN / 10)
+    ),
+    "reannounce_rate": dict(proxy_faults=_CRASHES, reannounce_rate=0.005),
+    "availability_seed": dict(holder_availability=0.7, availability_seed=99),
+    "adversarial": dict(
+        adversarial=AdversarialConfig(
+            polluter_fraction=0.2,
+            flapper_fraction=0.2,
+            flap_schedule=MassChurnSchedule(windows=((0.2 * _SPAN, 0.5 * _SPAN),)),
+        ),
+        max_holder_retries=2,
+    ),
+    "quarantine_threshold": dict(
+        corruption_rate=0.4, quarantine_threshold=1, max_holder_retries=2
+    ),
+    "quarantine_decay": dict(
+        corruption_rate=0.4,
+        quarantine_threshold=1,
+        quarantine_decay=_SPAN / 20,
+        max_holder_retries=2,
+    ),
+    "static_blacklist": dict(static_blacklist=(0, 3, 5)),
+    "chaos": dict(
+        chaos=ChaosPlan(
+            proxy_faults=_CRASHES,
+            churn=ChurnModel(),
+            seed=3,
+            check_invariants_every=100,
+        )
+    ),
+}
+
+#: rejected config field -> (overrides tripping the rejection, the
+#: knob name the error carries).
+REJECTED = {
+    "memory_fraction": (dict(memory_fraction=0.5), "the tiered memory model"),
+    "browser_memory_fraction": (
+        dict(memory_fraction=0.5, browser_memory_fraction=0.25),
+        "the tiered memory model",
+    ),
+    "browser_policy": (dict(browser_policy="fifo"), "browser_policy='fifo'"),
+    "consistency": (dict(consistency=FixedTTLPolicy(ttl=10.0)), "consistency"),
+    "federation": (dict(federation=FederationConfig(n_proxies=2)), "federation"),
+}
+
+
+def test_support_matrix_classifies_every_field():
+    """A new SimulationConfig field fails here until someone decides
+    whether the flat backend supports it or rejects it by name."""
+    fields = {f.name for f in dataclasses.fields(SimulationConfig)}
+    assert not set(SUPPORTED) & set(REJECTED)
+    assert set(SUPPORTED) | set(REJECTED) == fields
+
+
+def _matrix_base() -> SimulationConfig:
+    return SimulationConfig.relative(
+        MATRIX_TRACE, proxy_frac=0.05, browser_sizing="minimum"
+    )
+
+
+@pytest.mark.parametrize("field", sorted(SUPPORTED))
+def test_supported_knob_identical(field):
+    assert_identical(MATRIX_TRACE, _matrix_base().with_(**SUPPORTED[field]))
+
+
+@pytest.mark.parametrize("field", sorted(REJECTED))
+def test_rejected_knob_named(field):
+    overrides, knob = REJECTED[field]
+    cfg = _matrix_base().with_(**overrides)
+    with pytest.raises(ValueError, match=f"does not support {re.escape(knob)}"):
+        simulate_stream(MATRIX_TRACE, Organization.BROWSERS_AWARE_PROXY, cfg)

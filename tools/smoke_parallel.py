@@ -52,12 +52,12 @@ at ``workers=1`` (so serial, one worker, and the pool are all
 bit-identical), and corrupts a copied result to prove the monitor
 catches it.
 
-With ``--stream`` every base-grid cell is additionally replayed
-through the flat-state streaming engine
-(:func:`repro.core.simulate_stream`) and must be bit-identical to the
+With ``--stream`` every cell is additionally replayed over the flat
+client-state backend (:func:`repro.core.simulate_stream`) with the
+same knobs the serial run used, and must be bit-identical to the
 serial run; the process's peak RSS must also stay under
-``--stream-rss-ceiling-mb``.  Incompatible with the churn / crash /
-federation grids (outside the streaming subset).
+``--stream-rss-ceiling-mb``.  Incompatible with the federated grids
+(``--federation``, ``--chaos``): the flat backend is single-proxy.
 
 With ``--mrc`` the base grid is additionally derived from one
 stack-distance pass (``run_policy_sweep(..., mrc=True)``) and checked
@@ -97,6 +97,7 @@ from repro.core import (  # noqa: E402
     Organization,
     ProxyFaultModel,
     SimulationConfig,
+    build_cells,
     resolve_workers,
     run_policy_sweep,
 )
@@ -145,9 +146,10 @@ def main(argv: list[str] | None = None) -> int:
                              "asserts the partition fired and that a "
                              "corrupted result trips the monitor")
     parser.add_argument("--stream", action="store_true",
-                        help="also replay every cell through the flat-state "
-                             "streaming engine; results must be bit-identical "
-                             "and peak RSS must stay under the ceiling")
+                        help="also replay every cell over the flat "
+                             "client-state backend; results must be "
+                             "bit-identical and peak RSS must stay under "
+                             "the ceiling")
     parser.add_argument("--stream-rss-ceiling-mb", type=int, default=2048,
                         metavar="MB",
                         help="peak-RSS ceiling for the --stream check "
@@ -164,10 +166,9 @@ def main(argv: list[str] | None = None) -> int:
                              "bound in SAMPLE_ERROR_BOUNDS)")
     args = parser.parse_args(argv)
 
-    if args.stream and (args.churn or args.proxy_crash or args.federation
-                        or args.adversarial or args.chaos):
-        parser.error("--stream covers only the base grid; drop --churn/"
-                     "--proxy-crash/--federation/--adversarial/--chaos")
+    if args.stream and (args.federation or args.chaos):
+        parser.error("--stream replays single-proxy cells only; drop "
+                     "--federation/--chaos")
     if args.mrc and (args.churn or args.proxy_crash or args.federation
                      or args.adversarial or args.chaos):
         parser.error("--mrc covers only the base grid; drop --churn/"
@@ -482,14 +483,25 @@ def main(argv: list[str] | None = None) -> int:
         from repro.core import simulate_stream
         from repro.util.memory import peak_rss_bytes
 
+        # rebuild the serial run's cells, so each replay gets the same
+        # knobs and the same per-cell availability seed
+        overrides = {
+            k: v for k, v in grid.items()
+            if k not in ("organizations", "fractions", "browser_sizing")
+        }
+        cells = build_cells(
+            trace.name, grid["organizations"], grid["fractions"],
+            lambda frac: SimulationConfig.relative(
+                trace, proxy_frac=frac, browser_sizing=grid["browser_sizing"],
+                **overrides,
+            ),
+        )
         stream_diverged = []
-        for (org, frac), ref in serial.results.items():
-            config = SimulationConfig.relative(
-                trace, proxy_frac=frac, browser_sizing=grid["browser_sizing"]
-            )
-            got = simulate_stream(trace, org, config)
+        for cell in cells:
+            ref = serial.results[(cell.organization, cell.fraction)]
+            got = simulate_stream(trace, cell.organization, cell.config)
             if dataclasses.asdict(got) != dataclasses.asdict(ref):
-                stream_diverged.append((org, frac))
+                stream_diverged.append((cell.organization, cell.fraction))
         rss = peak_rss_bytes()
         ceiling = args.stream_rss_ceiling_mb * 1024 * 1024
         print()
