@@ -127,6 +127,21 @@ def test_bloom_filter_ops(benchmark):
     assert benchmark(work) == 5_000
 
 
+def test_bloom_filter_add_many(benchmark):
+    """The batch path of ``test_bloom_filter_ops``' adds (one
+    ``add_many`` call, as digest builds and summary rebuilds use)."""
+    keys = list(range(5_000))
+
+    def work():
+        f = BloomFilter.for_capacity(5_000)
+        f.add_many(keys)
+        return f
+
+    f = benchmark(work)
+    assert f.n_added == 5_000
+    assert all(k in f for k in keys)
+
+
 def test_md5_throughput(benchmark):
     payload = b"x" * 65_536
     digest = benchmark(lambda: md5_digest(payload))

@@ -71,7 +71,7 @@ def main() -> None:
         for cid, cache in enumerate(browsers):
             bloom.rebuild(cid, list(cache))
         negatives = [(c, d) for c, d in probes if (c, d) not in cached]
-        fp = sum(1 for c, d in negatives if d in bloom._filters[c]) / len(negatives)
+        fp = sum(1 for c, d in negatives if bloom.claims(c, d)) / len(negatives)
         rows.append(
             [f"bloom {bits:g} bits/doc", f"{bloom.footprint_bytes() / 1e3:.0f} KB",
              f"{fp:.3%}"]

@@ -191,6 +191,8 @@ class Simulator:
         )
         self.browsers = []
         self.flat = None
+        #: clients :meth:`_truth_holds` scans; None means all of them.
+        self._shard: list[int] | None = None
         if self.features.has_browsers:
             capacities = self._browser_capacities(n_clients)
             if self.flat_clients:
@@ -1299,7 +1301,12 @@ class Simulator:
         }
 
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
-        """Does any other browser actually hold (doc, version)?"""
+        """Does any other browser actually hold (doc, version)?
+
+        Scans every client, or only ``_shard`` when it is set: a
+        federated per-proxy engine's member clients
+        (:class:`~repro.federation.engine.FederatedSimulator`), since a
+        non-member's browser cache at that proxy is never written."""
         flat = self.flat
         if flat is not None:
             e_ver = flat.e_ver
@@ -1309,10 +1316,12 @@ class Simulator:
                     if slot >= 0 and e_ver[slot] == version:
                         return True
             return False
-        for cid, cache in enumerate(self.browsers):
+        browsers = self.browsers
+        shard = self._shard
+        for cid in range(len(browsers)) if shard is None else shard:
             if cid == exclude:
                 continue
-            held = cache.peek(doc)
+            held = browsers[cid].peek(doc)
             if held is not None and held.version == version:
                 return True
         return False

@@ -114,7 +114,7 @@ def run(
         if (cid, doc) in cached:
             continue
         probes += 1
-        if doc in bloom._filters[cid]:
+        if bloom.claims(cid, doc):
             false_pos += 1
     fp_rate = false_pos / probes if probes else 0.0
 

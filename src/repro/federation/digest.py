@@ -45,11 +45,9 @@ def build_proxy_digest(sim, capacity: int, bits_per_doc: float) -> BloomFilter:
     """
     digest = BloomFilter.for_capacity(capacity, bits_per_doc)
     if sim.proxy is not None:
-        for doc in sim.proxy:
-            digest.add(doc)
+        digest.add_many(sim.proxy)
     if sim.index is not None:
-        for doc in sim.index.claimed_docs():
-            digest.add(doc)
+        digest.add_many(sim.index.claimed_docs())
     return digest
 
 

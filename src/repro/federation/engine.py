@@ -22,7 +22,8 @@ The per-request path for client *c* assigned to proxy *P*:
 5. the origin.
 
 Every proxy runs against the full trace with per-proxy state arrays —
-non-member clients simply never touch proxy *P*'s browsers or index —
+non-member clients simply never touch proxy *P*'s browsers or index, so
+*P*'s truth scans (``Simulator._truth_holds``) cover only its members —
 and all per-proxy engines share ONE :class:`SimulationResult`, so the
 engine-internal accounting helpers (failover waste, bus legs, recovery
 windows) charge the federation's single ledger directly.
@@ -123,6 +124,11 @@ class FederatedSimulator:
             assign_proxy(c, fed.n_proxies, n_clients, fed.partition)
             for c in range(n_clients)
         ]
+        if fed.n_proxies > 1:
+            # Only members ever fill a proxy's browser caches, so its
+            # truth scans (missed-hit and false-miss checks) skip the rest.
+            for pid, sim in enumerate(self.sims):
+                sim._shard = [c for c in range(n_clients) if self.owner[c] == pid]
         self._needs_recovery = [
             sim._fault_schedule is not None or sim._checkpointer is not None
             for sim in self.sims

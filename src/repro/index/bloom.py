@@ -10,8 +10,16 @@ rebuild, which is exactly the staleness the periodic update mode
 models.
 
 Hashing uses double hashing over a 64-bit mix of the key (Kirsch &
-Mitzenmacher: two independent hashes generate k), so adds and queries
-are O(k) with no digest computation in the hot path.
+Mitzenmacher: two independent hashes generate k), so a single-key add
+or query is O(k) with no digest computation in the hot path.  Bulk
+loads take the batch path, :meth:`BloomFilter.add_many` (and
+:func:`set_key_bits` on any word array): the same SplitMix64 mix over a
+``uint64`` array, positions ``(h1 % m + i * (h2 % m)) % m`` — equal to
+the single-key ``(h1 + i * h2) % m`` — and one ``np.bitwise_or.at``,
+so the bits match repeated :meth:`BloomFilter.add` exactly.
+:func:`key_words` gives one key's bits as (word, mask) arrays for
+callers that test many same-shaped filters at once
+(:class:`~repro.index.engine_bloom.BloomBrowserIndex`).
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["BloomFilter", "BloomIndex"]
+__all__ = ["BloomFilter", "BloomIndex", "key_words", "set_key_bits"]
+
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix64(x: int) -> int:
@@ -29,6 +39,46 @@ def _mix64(x: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
+
+
+def _mix64_many(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a ``uint64`` array (products wrap mod 2**64)."""
+    x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> 31)
+
+
+def _positions(key: int, n_bits: int, n_hashes: int):
+    h1 = _mix64(key)
+    h2 = _mix64(h1 ^ _GOLDEN) | 1
+    for i in range(n_hashes):
+        yield (h1 + i * h2) % n_bits
+
+
+def key_words(key: int, n_bits: int, n_hashes: int) -> tuple[np.ndarray, np.ndarray]:
+    """*key*'s bits as ``(words, masks)``: each distinct word index
+    (``intp``) once, with the OR of its bits (``uint64``)."""
+    acc: dict[int, int] = {}
+    for pos in _positions(key, n_bits, n_hashes):
+        word = pos >> 6
+        acc[word] = acc.get(word, 0) | (1 << (pos & 63))
+    n = len(acc)
+    return np.fromiter(acc, np.intp, n), np.fromiter(acc.values(), np.uint64, n)
+
+
+def set_key_bits(bits: np.ndarray, keys, n_bits: int, n_hashes: int) -> int:
+    """OR every key's bits into the word array *bits* in one batch;
+    returns the number of keys.  Keys are integers that fit in ``int64``."""
+    h1 = _mix64_many(np.fromiter(keys, np.int64).view(np.uint64))
+    if not h1.size:
+        return 0
+    h2 = _mix64_many(h1 ^ np.uint64(_GOLDEN)) | np.uint64(1)
+    m = np.uint64(n_bits)
+    steps = np.arange(n_hashes, dtype=np.uint64)
+    pos = ((h1 % m)[:, None] + steps * (h2 % m)[:, None]) % m
+    pos = pos.ravel()
+    np.bitwise_or.at(bits, (pos >> 6).astype(np.intp), np.uint64(1) << (pos & 63))
+    return h1.size
 
 
 class BloomFilter:
@@ -51,19 +101,18 @@ class BloomFilter:
         k = max(1, int(round(bits_per_item * 0.6931)))
         return cls(n_bits, k)
 
-    def _positions(self, key: int):
-        h1 = _mix64(key)
-        h2 = _mix64(h1 ^ 0x9E3779B97F4A7C15) | 1
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % self.n_bits
-
     def add(self, key: int) -> None:
-        for pos in self._positions(key):
+        for pos in _positions(key, self.n_bits, self.n_hashes):
             self._bits[pos >> 6] |= np.uint64(1 << (pos & 63))
         self.n_added += 1
 
+    def add_many(self, keys) -> None:
+        """Add every key in *keys* in one batch; bits and ``n_added``
+        end up exactly as after one :meth:`add` per key."""
+        self.n_added += set_key_bits(self._bits, keys, self.n_bits, self.n_hashes)
+
     def __contains__(self, key: int) -> bool:
-        for pos in self._positions(key):
+        for pos in _positions(key, self.n_bits, self.n_hashes):
             if not (int(self._bits[pos >> 6]) >> (pos & 63)) & 1:
                 return False
         return True
@@ -135,8 +184,12 @@ class BloomIndex:
         """Reset *client*'s filter from its true cache contents."""
         f = self._filters[client]
         f.clear()
-        for doc in docs:
-            f.add(doc)
+        f.add_many(docs)
+
+    def claims(self, client: int, doc: int) -> bool:
+        """Whether *client*'s summary claims *doc* (may be a false
+        positive)."""
+        return doc in self._filters[client]
 
     def candidates(self, doc: int, exclude_client: int) -> list[int]:
         """Clients whose summaries claim *doc* (may include false

@@ -12,11 +12,24 @@ Lookups can therefore return **false positives** (evicted documents, or
 plain Bloom collisions); the simulation engine validates every
 candidate against the true browser cache and charges a wasted round
 trip for false hits, exactly as with the periodic exact index.
+
+Layout: the per-client filters are the rows of one ``(n_clients,
+words)`` ``uint64`` bit matrix, each row shaped like
+:meth:`BloomBrowserIndex._new_filter`.  A lookup hashes the document
+once (:func:`~repro.index.bloom.key_words`) and tests every client with
+one column gather, so claimants come out in ascending client order; an
+insert ORs the document's bits into one row; a rebuild or
+re-announcement refills one row in a single batch
+(:func:`~repro.index.bloom.set_key_bits`); a snapshot is a copy of the
+matrix.  ``n_entries`` is a running count and ``footprint_bytes()`` the
+matrix size, so both are O(1).
 """
 
 from __future__ import annotations
 
-from repro.index.bloom import BloomFilter
+import numpy as np
+
+from repro.index.bloom import BloomFilter, key_words, set_key_bits
 from repro.index.browser_index import IndexLookup
 from repro.index.entry import IndexEntry
 from repro.index.staleness import StalenessStats
@@ -25,7 +38,7 @@ __all__ = ["BloomBrowserIndex"]
 
 
 class BloomBrowserIndex:
-    """Summary-Cache style index: one Bloom filter per client.
+    """Summary-Cache style index: one Bloom filter (matrix row) per client.
 
     Exposes the same interface the engine uses on
     :class:`~repro.index.browser_index.BrowserIndex`.
@@ -52,12 +65,18 @@ class BloomBrowserIndex:
         self.bits_per_doc = bits_per_doc
         self.expected_docs = max(1, expected_docs_per_client)
         self.rebuild_threshold = rebuild_threshold
-        self._filters = [self._new_filter() for _ in range(n_clients)]
+        shape = self._new_filter()
+        self._n_bits = shape.n_bits
+        self._n_hashes = shape.n_hashes
+        #: row c is client c's filter words.
+        self._bits = np.zeros((n_clients, shape._bits.size), dtype=np.uint64)
         #: true per-client contents (each client knows its own cache and
         #: sends the full summary on rebuild): client -> {doc: (version, size)}
         self._contents: list[dict[int, tuple[int, int]]] = [
             {} for _ in range(n_clients)
         ]
+        #: running total of ``len(c) for c in self._contents``.
+        self._n_entries = 0
         self._changes_since_rebuild = [0] * n_clients
         self._rr = 0
         #: lookups where the ``banned`` filter removed at least one
@@ -91,8 +110,12 @@ class BloomBrowserIndex:
         replace: bool = False,
     ) -> None:
         self.n_insert_events += 1
-        self._contents[client][doc] = (version, size)
-        self._filters[client].add(doc)
+        contents = self._contents[client]
+        if doc not in contents:
+            self._n_entries += 1
+        contents[doc] = (version, size)
+        words, masks = key_words(doc, self._n_bits, self._n_hashes)
+        self._bits[client, words] |= masks
         if replace:
             # a new version under the same key: the filter entry is
             # already present, nothing stale is introduced
@@ -101,7 +124,8 @@ class BloomBrowserIndex:
 
     def record_evict(self, client: int, doc: int, now: float) -> None:
         self.n_evict_events += 1
-        self._contents[client].pop(doc, None)
+        if self._contents[client].pop(doc, None) is not None:
+            self._n_entries -= 1
         # the filter cannot forget: this is the staleness source
         self._bump(client, now)
 
@@ -113,23 +137,26 @@ class BloomBrowserIndex:
 
     def rebuild(self, client: int, now: float) -> None:
         """Client sends a fresh summary of its true contents."""
-        f = self._new_filter()
-        for doc in self._contents[client]:
-            f.add(doc)
-        self._filters[client] = f
+        self._refill(client)
         self._changes_since_rebuild[client] = 0
         self._restored_clients.discard(client)
         self.rebuilds += 1
         self.stats.flushes += 1
         self.stats.flushed_items += len(self._contents[client])
 
+    def _refill(self, client: int) -> None:
+        """Reset *client*'s row to a summary of its claimed contents."""
+        row = self._bits[client]
+        row.fill(0)
+        set_key_bits(row, self._contents[client], self._n_bits, self._n_hashes)
+
     # -- crash recovery ----------------------------------------------------
 
     def export_snapshot(self) -> dict:
         """Deep copy of the proxy-side summary state for a checkpoint:
-        the filters plus the claimed contents they summarise."""
+        the filter matrix plus the claimed contents it summarises."""
         return {
-            "filters": [f.copy() for f in self._filters],
+            "bits": self._bits.copy(),
             "contents": [dict(c) for c in self._contents],
             "changes": list(self._changes_since_rebuild),
         }
@@ -138,8 +165,9 @@ class BloomBrowserIndex:
         """Replace the summaries with a checkpoint's state.  Restored
         filters may claim documents their clients evicted after the
         snapshot — those surface as false hits attributed to recovery."""
-        self._filters = [f.copy() for f in payload["filters"]]
+        self._bits = payload["bits"].copy()
         self._contents = [dict(c) for c in payload["contents"]]
+        self._n_entries = sum(len(c) for c in self._contents)
         self._changes_since_rebuild = list(payload["changes"])
         self._restored_clients = set(range(self.n_clients))
 
@@ -154,13 +182,10 @@ class BloomBrowserIndex:
         fresh summary.  *items* iterates ``(doc, version, size)``
         triples from the true cache.  Returns the announced item count.
         """
-        f = self._new_filter()
-        contents: dict[int, tuple[int, int]] = {}
-        for doc, version, size in items:
-            contents[doc] = (version, size)
-            f.add(doc)
-        self._filters[client] = f
+        contents = {doc: (version, size) for doc, version, size in items}
+        self._n_entries += len(contents) - len(self._contents[client])
         self._contents[client] = contents
+        self._refill(client)
         self._changes_since_rebuild[client] = 0
         self._restored_clients.discard(client)
         self.reannouncements += 1
@@ -185,11 +210,7 @@ class BloomBrowserIndex:
         ``None`` skips the filter entirely.
         """
         self.n_lookups += 1
-        candidates = [
-            c
-            for c in range(self.n_clients)
-            if c != exclude_client and doc in self._filters[c]
-        ]
+        candidates = [c for c in self.holders_of(doc) if c != exclude_client]
         if banned:
             kept = [c for c in candidates if c not in banned]
             if len(kept) != len(candidates):
@@ -211,8 +232,11 @@ class BloomBrowserIndex:
         return IndexLookup(client=client, entry=entry)
 
     def holders_of(self, doc: int) -> list[int]:
-        """Clients whose summary claims *doc* (may be false positives)."""
-        return [c for c in range(self.n_clients) if doc in self._filters[c]]
+        """Clients whose summary claims *doc* (may be false positives),
+        ascending."""
+        words, masks = key_words(doc, self._n_bits, self._n_hashes)
+        claimed = ((self._bits[:, words] & masks) == masks).all(axis=1)
+        return np.flatnonzero(claimed).tolist()
 
     def candidate_holders(
         self,
@@ -252,11 +276,11 @@ class BloomBrowserIndex:
 
     @property
     def n_entries(self) -> int:
-        return sum(len(c) for c in self._contents)
+        return self._n_entries
 
     def footprint_bytes(self) -> int:
         """Proxy-side memory: the filters themselves."""
-        return sum(f.size_bytes for f in self._filters)
+        return self._bits.nbytes
 
     @property
     def update_messages(self) -> int:

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.index import BloomFilter, BloomIndex
 from repro.index.signatures import IndexSpaceModel
@@ -78,6 +78,29 @@ def test_no_false_negatives_property(keys):
     assert all(k in f for k in keys)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n_bits=st.integers(1, 3000),
+    n_hashes=st.integers(1, 16),
+    keys=st.lists(st.integers(0, 2**40), max_size=120),
+    n_dups=st.integers(0, 10),
+)
+@example(n_bits=100, n_hashes=11, keys=[], n_dups=0)
+@example(n_bits=130, n_hashes=11, keys=[0, 2**40, 7], n_dups=3)
+def test_add_many_matches_repeated_add(n_bits, n_hashes, keys, n_dups):
+    """The batch path sets exactly the bits, and counts exactly the
+    keys, of one ``add`` per key — duplicates and empty input included,
+    and for filter sizes that are not a multiple of 64 bits."""
+    keys = keys + keys[:n_dups]
+    one_by_one = BloomFilter(n_bits, n_hashes)
+    for k in keys:
+        one_by_one.add(k)
+    batched = BloomFilter(n_bits, n_hashes)
+    batched.add_many(keys)
+    assert batched._bits.tolist() == one_by_one._bits.tolist()
+    assert batched.n_added == one_by_one.n_added == len(keys)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         BloomFilter(0, 4)
@@ -111,6 +134,16 @@ def test_bloom_index_rebuild():
     idx.add(0, 7)
     idx.rebuild(0, [1, 2, 3])
     assert idx.candidates(1, exclude_client=99) == [0]
+
+
+def test_bloom_index_claims_is_per_client():
+    idx = BloomIndex(n_clients=2, expected_docs_per_client=50)
+    idx.rebuild(1, [4, 5])
+    assert idx.claims(1, 4) and idx.claims(1, 5)
+    assert not idx.claims(0, 4)
+    # a rebuild forgets what the new contents no longer hold
+    idx.rebuild(1, [])
+    assert not idx.claims(1, 4)
 
 
 def test_bloom_index_footprint():

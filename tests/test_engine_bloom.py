@@ -1,8 +1,11 @@
 """Bloom-summary browser index: unit tests and engine integration."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import Organization, SimulationConfig, simulate
+from repro.index.bloom import BloomFilter
 from repro.index.engine_bloom import BloomBrowserIndex
 
 
@@ -143,3 +146,161 @@ def test_bloom_sizing_unchanged_for_uniform_capacity(small_trace):
     sim = Simulator(small_trace, Organization.BROWSERS_AWARE_PROXY, config)
     avg_doc = max(1, int(small_trace.sizes.mean()))
     assert sim.index.expected_docs == max(8, config.browser_capacity // avg_doc)
+
+
+# -- the bit matrix against a list-of-filters model -----------------------------
+
+
+class ListOfFiltersModel:
+    """The Summary Cache discipline written the plain way: one
+    :class:`BloomFilter` per client, filled key by key and scanned
+    client by client.  Only the single-key hash positions are shared
+    with the bit-matrix index; its word masks, column gather, batch
+    refill and running counts are not."""
+
+    def __init__(self, n_clients, expected, bits_per_doc, threshold):
+        self.new_filter = lambda: BloomFilter.for_capacity(expected, bits_per_doc)
+        self.filters = [self.new_filter() for _ in range(n_clients)]
+        self.contents = [{} for _ in range(n_clients)]
+        self.changes = [0] * n_clients
+        self.threshold = threshold
+        self.rr = 0
+
+    def insert(self, client, doc, version, replace):
+        self.contents[client][doc] = (version, 100)
+        self.filters[client].add(doc)
+        if not replace:
+            self.bump(client)
+
+    def evict(self, client, doc):
+        self.contents[client].pop(doc, None)
+        self.bump(client)
+
+    def bump(self, client):
+        self.changes[client] += 1
+        basis = max(len(self.contents[client]), 20)
+        if self.changes[client] >= self.threshold * basis:
+            self.rebuild(client)
+
+    def rebuild(self, client):
+        f = self.new_filter()
+        for doc in self.contents[client]:
+            f.add(doc)
+        self.filters[client] = f
+        self.changes[client] = 0
+
+    def reannounce(self, client, docs):
+        self.contents[client] = {d: (0, 100) for d in docs}
+        self.rebuild(client)
+
+    def export(self):
+        return (
+            [f.copy() for f in self.filters],
+            [dict(c) for c in self.contents],
+            list(self.changes),
+        )
+
+    def restore(self, snap):
+        filters, contents, changes = snap
+        self.filters = [f.copy() for f in filters]
+        self.contents = [dict(c) for c in contents]
+        self.changes = list(changes)
+
+    def holders_of(self, doc):
+        return [c for c, f in enumerate(self.filters) if doc in f]
+
+    def lookup(self, doc, exclude, banned):
+        cands = [c for c in self.holders_of(doc) if c != exclude]
+        if banned:
+            cands = [c for c in cands if c not in banned]
+        if not cands:
+            return None
+        self.rr += 1
+        return cands[self.rr % len(cands)]
+
+    def n_entries(self):
+        return sum(len(c) for c in self.contents)
+
+    def footprint_bytes(self):
+        return sum(f.size_bytes for f in self.filters)
+
+
+N_MODEL_CLIENTS = 5
+_client = st.integers(0, N_MODEL_CLIENTS - 1)
+_doc = st.integers(0, 40)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _client, _doc, st.integers(0, 2)),
+        st.tuples(st.just("evict"), _client, _doc),
+        st.tuples(st.just("rebuild"), _client),
+        st.tuples(st.just("reannounce"), _client, st.lists(_doc, max_size=12)),
+        st.tuples(st.just("export")),
+        st.tuples(st.just("restore")),
+        st.tuples(
+            st.just("lookup"), _doc, _client, st.frozensets(_client, max_size=2)
+        ),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=_ops,
+    expected=st.integers(1, 24),
+    bits_per_doc=st.sampled_from([3.0, 8.0, 16.0]),
+    threshold=st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, threshold):
+    """Random insert/evict/rebuild/reannounce/export/restore sequences
+    leave the bit-matrix index answering exactly like one filter per
+    client: holders, the round-robin lookup pick, failover candidates,
+    the entry count and the footprint.  Small filters (sizes that are
+    not a multiple of 64 bits) make collisions — false positives the
+    two layouts must agree on — common."""
+    index = BloomBrowserIndex(
+        N_MODEL_CLIENTS,
+        expected_docs_per_client=expected,
+        bits_per_doc=bits_per_doc,
+        rebuild_threshold=threshold,
+    )
+    model = ListOfFiltersModel(N_MODEL_CLIENTS, expected, bits_per_doc, threshold)
+    snapshots = None
+    for now, op in enumerate(ops):
+        kind = op[0]
+        if kind == "insert":
+            _, client, doc, version = op
+            replace = doc in model.contents[client]
+            index.record_insert(client, doc, version, 100, now, replace=replace)
+            model.insert(client, doc, version, replace)
+        elif kind == "evict":
+            _, client, doc = op
+            index.record_evict(client, doc, now)
+            model.evict(client, doc)
+        elif kind == "rebuild":
+            index.rebuild(op[1], now)
+            model.rebuild(op[1])
+        elif kind == "reannounce":
+            _, client, docs = op
+            announced = index.reannounce(client, [(d, 0, 100) for d in docs], now)
+            model.reannounce(client, docs)
+            assert announced == len(set(docs))
+        elif kind == "export":
+            snapshots = (index.export_snapshot(), model.export())
+        elif kind == "restore" and snapshots is not None:
+            index.restore_snapshot(snapshots[0])
+            model.restore(snapshots[1])
+        elif kind == "lookup":
+            _, doc, exclude, banned = op
+            hit = index.lookup(doc, exclude, now, banned=banned or None)
+            want = model.lookup(doc, exclude, banned)
+            assert (hit.client if hit is not None else None) == want
+        for doc in range(41):
+            holders = model.holders_of(doc)
+            assert index.holders_of(doc) == holders
+            exclude = doc % N_MODEL_CLIENTS
+            assert index.candidate_holders(doc, exclude, now) == [
+                c for c in holders if c != exclude
+            ]
+        assert index.n_entries == model.n_entries()
+        assert index.footprint_bytes() == model.footprint_bytes()

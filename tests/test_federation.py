@@ -15,14 +15,17 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ChurnModel,
     FederationConfig,
     HitLocation,
     Organization,
+    ProxyFaultModel,
     SimulationConfig,
     run_policy_sweep,
     simulate,
 )
 from repro.core.simulator import Simulator, bloom_expected_docs
+from repro.index import PeriodicUpdatePolicy
 from repro.experiments import federation as federation_experiment
 from repro.federation import DigestDirectory, FederatedSimulator, build_proxy_digest
 from repro.hierarchy.config import assign_proxy
@@ -335,6 +338,59 @@ def test_bloom_expected_docs_fallback_paths():
     assert bloom_expected_docs(empty, [], 4096) == max(8, 4096 // 1)
     trace = make_trace([(0.0, 0, 1, 100, 0)])
     assert bloom_expected_docs(trace, [1000], 0) == max(8, 1000 // 100)
+
+
+# -- shard-scoped truth scans ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "index_knobs",
+    [
+        {"index_kind": "bloom"},
+        {"index_update_policy": PeriodicUpdatePolicy(threshold=1.0, min_docs=50)},
+    ],
+    ids=["bloom", "periodic"],
+)
+def test_truth_scan_scoped_to_members_matches_full_scan(small_trace, index_knobs):
+    """A per-proxy engine's truth scan (missed-hit, false-miss and
+    lost-to-recovery checks) covers only its member clients.  That is
+    sound because a non-member's browser cache at a proxy is never
+    written: check the property after a run with churn, failover and
+    a proxy crash, and check the scoped run against one that scans
+    every client."""
+    config = SimulationConfig.relative(
+        small_trace, 0.10, browser_sizing="minimum"
+    ).with_(
+        churn=ChurnModel(),
+        max_holder_retries=2,
+        proxy_faults=ProxyFaultModel(crash_times=(0.5 * small_trace.duration,)),
+        reannounce_rate=0.001,
+        federation=FederationConfig(n_proxies=4, digest_period=600.0),
+        **index_knobs,
+    )
+    scoped = FederatedSimulator(small_trace, ORG, config)
+    scoped_result = scoped.run()
+    for pid, sim in enumerate(scoped.sims):
+        # the scoped run really is scoped (else the comparison is vacuous)
+        assert sim._shard == [c for c, p in enumerate(scoped.owner) if p == pid]
+        for c, cache in enumerate(sim.browsers):
+            if scoped.owner[c] != pid:
+                assert len(cache) == 0, (pid, c)
+
+    full = FederatedSimulator(small_trace, ORG, config)
+    for sim in full.sims:
+        sim._shard = None
+    full_result = full.run()
+    assert scoped_result.digest_missed_hits > 0
+    assert scoped_result.hits_lost_to_recovery > 0
+    if "index_update_policy" in index_knobs:
+        assert scoped_result.index_stats.false_misses > 0
+    assert scoped_result.digest_missed_hits == full_result.digest_missed_hits
+    assert (
+        scoped_result.index_stats.false_misses
+        == full_result.index_stats.false_misses
+    )
+    assert dataclasses.asdict(scoped_result) == dataclasses.asdict(full_result)
 
 
 # -- journal round-trip --------------------------------------------------------

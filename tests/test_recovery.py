@@ -243,7 +243,11 @@ def test_restore_does_not_mutate_donor_snapshot():
     fresh = BloomBrowserIndex(n_clients=2, expected_docs_per_client=8)
     fresh.restore_snapshot(payload)
     fresh.record_insert(0, 2, version=0, size=100, now=1.0)
-    assert 2 not in payload["filters"][0]
+    # the donor payload, restored again, must not carry fresh's insert
+    second = BloomBrowserIndex(n_clients=2, expected_docs_per_client=8)
+    second.restore_snapshot(payload)
+    assert second.holders_of(1) == [0]
+    assert second.holders_of(2) == []
 
 
 # -- engine integration -------------------------------------------------------

@@ -45,8 +45,9 @@ with the defense disarmed: quarantine must strictly reduce the summed
 With ``--chaos`` every cell runs a composed outage through one seeded
 :class:`~repro.core.ChaosPlan`: a proxy cold restart *inside* an
 inter-proxy partition window while clients churn, on a two-proxy
-federation, with the runtime invariant monitor armed at a 5000-request
-cadence.  The smoke asserts the partition actually fired (windows
+federation over the bloom browser index (the shape of the benchmark's
+federated-chaos workload; ``--federation`` keeps the exact index), with
+the runtime invariant monitor armed at a 5000-request cadence.  The smoke asserts the partition actually fired (windows
 entered, digest exchanges lost, crashes composed in), re-runs the grid
 at ``workers=1`` (so serial, one worker, and the pool are all
 bit-identical), and corrupts a copied result to prove the monitor
@@ -229,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         grid["federation"] = FederationConfig(
             n_proxies=2, digest_period=duration / 12
         )
+        grid["index_kind"] = "bloom"
         grid["chaos"] = ChaosPlan(
             proxy_faults=ProxyFaultModel(crash_times=(0.50 * duration,)),
             churn=ChurnModel(),
@@ -240,7 +242,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"chaos: proxy crash at t={0.50 * duration:.0f}s inside a "
               f"partition t={0.40 * duration:.0f}-{0.60 * duration:.0f}s, "
               f"default churn, 2-proxy federation (digest every "
-              f"{duration / 12:.0f}s), invariants checked every 5000 requests")
+              f"{duration / 12:.0f}s) over the bloom index, invariants "
+              f"checked every 5000 requests")
     n_cells = len(grid["organizations"]) * len(grid["fractions"])
     print(f"smoke sweep: {trace.name}, {len(trace):,} requests, {n_cells} cells")
 
@@ -432,6 +435,7 @@ def main(argv: list[str] | None = None) -> int:
                 trace, proxy_frac=0.10,
                 browser_sizing=grid["browser_sizing"],
                 federation=grid["federation"], chaos=grid["chaos"],
+                index_kind=grid["index_kind"],
             )
         )
         monitor = InvariantMonitor(probe, check_every=1)
