@@ -332,13 +332,22 @@ class _TierStack:
                 for f in range(ko):
                     corr[f].add_at(prev, -old_size)
             # oversized in-place refresh: the real cache evicts every
-            # other entry and then the refreshed document itself.
+            # other entry and then the refreshed document itself.  A
+            # refused put of an *evicted* copy changes nothing, but in
+            # LRU order every older entry is gone too — unless the old
+            # copy was itself refused there (f < ko) and evicted nothing.
             if kb:
                 barrier = self.barrier
                 changed = False
                 for f in range(kb):
                     if res_mask >> f & 1:
-                        barrier[f] = i
+                        at = i
+                    elif f >= ko:
+                        at = prev
+                    else:
+                        continue
+                    if at > barrier[f]:
+                        barrier[f] = at
                         changed = True
                 if changed:
                     self._rebuild_dirty()

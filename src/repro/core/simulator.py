@@ -22,26 +22,36 @@ Request path (matching paper §2/§3.2):
    replicas from the index's candidate list are probed — each failed
    probe charging a wasted LAN round trip — before the request
    escalates;
-4. otherwise the **origin server** over the WAN; the response populates
+4. with federation, the **peer proxies** whose digest claims the
+   document (:mod:`repro.federation.engine`);
+5. otherwise the **origin server** over the WAN; the response populates
    the proxy and/or the browser per organization.
 
 Every leg is priced by the §4.2/§5 timing models into the result's
 :class:`~repro.core.overhead.OverheadReport`.
 
-Every configuration replays through **one loop**
+Every configuration of all three engines replays through **one loop**
 (:meth:`Simulator._replay`).  Optional behaviour — expiration-based
 coherence, proxy crash recovery, the quarantine guard, the invariant
 monitor — is bound into hooks once per run, before the loop starts,
-and steps 2–4 fall through to one shared *fill tail* that populates
-the caches the serving step names.  Client state has two backends
-behind the same loop: one cache object per client (the default), or
-every LRU browser cache in one flat :class:`~repro.cache.FlatBrowsers`
-slot pool (:class:`~repro.core.stream_engine.StreamSimulator`, for
+and steps 2–5 fall through to one shared *fill tail* that populates
+the caches the serving step names.  Per-engine handles (caches, index,
+delivery methods) come from :meth:`Simulator._bind`.  Client state has
+two backends behind the same loop: one cache object per client (the
+default), or every LRU browser cache in one flat
+:class:`~repro.cache.FlatBrowsers` slot pool
+(:class:`~repro.core.stream_engine.StreamSimulator`, for
 million-client cells and streamed sources).  The flat backend takes
 its own arm in the browser probe, :meth:`_browser_put`, the holder
 lookup and the whole-population walks; it has no tiered or
 per-entry-expiry state, so ``StreamSimulator`` rejects those knobs
-(and federation) by name.  The loop is the throughput
+(and federation) by name.  The third engine,
+:class:`~repro.federation.engine.FederatedSimulator`, has no loop of
+its own: it is a router in front of this one, holding one bound
+handle tuple per proxy.  Step 0 routes each request to its home proxy
+(advancing the fabric, that proxy's crash clock and the digest
+exchange), and step 4 asks the peer proxies, whose probes reuse
+:meth:`_remote_delivery`.  The loop is the throughput
 bottleneck of every sweep, so it is written as an *optimized fast
 path*: per-request counters accumulate in local variables and flush
 into the result once at finalise, the timing arithmetic of the
@@ -557,8 +567,9 @@ class Simulator:
     def _remote_delivery(
         self, c: int, d: int, s: int, v: int, t: float
     ) -> tuple[bool, bool | None]:
-        """The resilient remote-hit path (the federated engine's; the
-        replay loop inlines it).
+        """The resilient remote-hit path, as a peer proxy serves it to
+        a federation's probe (the replay loop inlines it for the home
+        proxy).
 
         Looks up a holder, then fails over across the index's replica
         list — bounded by ``config.max_holder_retries`` — until one
@@ -648,12 +659,6 @@ class Simulator:
             result.quarantine_rescued_hits += 1
             self._lookup_skipped_banned = False
         return (True, memory) if served else (False, None)
-
-    def _storage_time(self, n_bytes: int, memory: bool | None) -> float:
-        storage = self.config.storage
-        if memory:
-            return storage.memory_time(n_bytes)
-        return storage.disk_time(n_bytes)
 
     def _browser_put(self, client: int, doc: int, size: int, version: int, now: float) -> None:
         """Insert into a browser cache, keeping the index in sync.
@@ -840,6 +845,48 @@ class Simulator:
             self._replay, _loop_phase_map(), self._phase_counts
         )
 
+    def _bind(self) -> tuple:
+        """The per-engine handles :meth:`_replay` holds in locals.
+
+        Plain caches get bound ``get``/``put`` methods and direct
+        entry-table views for the membership probes (the tiered model
+        keeps the uniform :meth:`_get`/:meth:`_browser_put` wrappers,
+        the flat pool probes through its own handles); the index gets
+        its event methods and guarded lookup bound once.  Rebound after
+        a crash replaces the index, and bound once per proxy of a
+        federation, whose loop unpacks the routed proxy's tuple.
+        """
+        tiered = self._tiered
+        browsers = self.browsers
+        proxy = self.proxy
+        index = self.index
+        plain_browsers = self.features.has_browsers and not tiered and self.flat is None
+        lru_p = proxy is not None and not tiered and self.config.proxy_policy == "lru"
+        return (
+            self,
+            browsers,
+            [b.get for b in browsers] if plain_browsers else None,
+            [b.put for b in browsers] if plain_browsers else None,
+            [b._entries for b in browsers] if plain_browsers else None,
+            proxy,
+            proxy._entries if lru_p else None,
+            proxy.get if proxy is not None and not tiered else None,
+            proxy.put if proxy is not None else None,
+            index,
+            index.record_insert if index is not None else None,
+            index.record_evict if index is not None else None,
+            self._guarded_lookup_fn(index) if index is not None else None,
+            index.is_stale if index is not None else False,
+            self._failover_deliver,
+            self._truth_holds,
+            self._browser_put,
+            (
+                self._advance_recovery
+                if self._fault_schedule is not None or self._checkpointer is not None
+                else None
+            ),
+        )
+
     def _coherence_hooks(self):
         """``(modified, fresh, stamp)`` for ``config.consistency``.
 
@@ -890,14 +937,33 @@ class Simulator:
 
         return modified, fresh, stamp
 
-    def _replay(self) -> SimulationResult:
-        """The one request-path loop (see the module docstring)."""
+    def _replay(self, fed=None) -> SimulationResult:
+        """The one request-path loop (see the module docstring).
+
+        *fed* is a :class:`~repro.federation.engine.FederatedSimulator`
+        whose per-proxy engines (this one among them) share this loop:
+        step 0 routes each request to its home proxy's bound handles,
+        and step 4 escalates to the peer proxies.
+        """
         features = self.features
         config = self.config
         result = self.result
-        browsers = self.browsers
-        proxy = self.proxy
-        index = self.index
+        # Per-engine handles (see _bind): unpacked here, again after a
+        # crash, and per request from the routed proxy under *fed*.
+        (sim, browsers, browser_gets, browser_puts, browser_entries,
+         proxy, proxy_entries, proxy_get, proxy_put,
+         index, record_insert, record_evict, index_lookup, index_stale,
+         failover, truth_holds, browser_put, recovery) = self._bind()
+        if fed is not None:
+            route = fed._route
+            fed_bound = fed._bound
+            fed_sims = fed.sims
+            peer_fetch = fed._interproxy_fetch if len(fed_sims) > 1 else None
+            peer_fills = fed.fed.cache_interproxy_fetches
+            monitor = fed.monitor
+        else:
+            peer_fetch = None
+            monitor = self._monitor
 
         # Hoisted feature/config reads — loop-invariant.
         tiered = self._tiered
@@ -925,53 +991,24 @@ class Simulator:
         disk_pt = storage.disk_page_time
         BITS = BITS_PER_BYTE
 
-        # Precomputed per-client handles (plain caches only; the tiered
-        # model keeps the uniform _get/_browser_put wrappers, the flat
-        # pool probes through its own handles and fills through
-        # _browser_put): bound `get`s and `put`s and direct entry-table
-        # views for the membership probes, plus the index event methods
-        # bound once (rebound after a crash).
         self_get = self._get
         flat = self.flat
         flat_probe = flat.probe if flat is not None else None
         flat_ver = flat.e_ver if flat is not None else None
-        plain_browsers = has_browsers and not tiered and flat is None
-        browser_gets = [b.get for b in browsers] if plain_browsers else None
-        browser_puts = [b.put for b in browsers] if plain_browsers else None
-        browser_entries = [b._entries for b in browsers] if plain_browsers else None
         # LRU probes bypass the Python-level Cache.get frame entirely:
         # the merged-OrderedDict layout makes a probe one C-level
         # dict.get plus (on residency) one C-level move_to_end — the
         # exact semantics of LRUCache.get.
-        lru_b = plain_browsers and config.browser_policy == "lru"
-        lru_p = has_proxy and not tiered and config.proxy_policy == "lru"
-        proxy_entries = proxy._entries if lru_p else None
+        lru_b = browser_entries is not None and config.browser_policy == "lru"
+        lru_p = proxy_entries is not None
         # Where no eviction hook can fire, LRUCache.put itself is
         # inlined in the fill tail: browser caches only get an
         # ``on_evict`` when an index exists (evictions must then be
         # reported), and the proxy cache never gets one.
         inline_bput = lru_b and index is None
         index_ttl = config.index_entry_ttl
-        record_insert = index.record_insert if index is not None else None
-        record_evict = index.record_evict if index is not None else None
-        # Inlined _remote_delivery: the lookup (and its far more common
-        # miss outcome) runs in the loop; only an index hit pays the
-        # _failover_deliver call.
-        index_lookup = self._guarded_lookup_fn(index) if index is not None else None
-        index_stale = index.is_stale if index is not None else False
-        failover = self._failover_deliver
-        truth_holds = self._truth_holds
-        proxy_get = proxy.get if has_proxy and not tiered else None
-        proxy_put = proxy.put if has_proxy else None
-        browser_put = self._browser_put
         security = self._security
         sec_transfer = security.transfer_cost if security is not None else None
-        recovery = (
-            self._advance_recovery
-            if self._fault_schedule is not None or self._checkpointer is not None
-            else None
-        )
-        monitor = self._monitor
         # Expiration-based coherence, bound once: without a policy a
         # resident copy is served iff its version is current.
         if config.consistency is not None:
@@ -995,6 +1032,7 @@ class Simulator:
         lb_hits = lb_bytes = lb_mem_hits = lb_mem_bytes = lb_disk_hits = lb_disk_bytes = 0
         px_hits = px_bytes = px_mem_hits = px_mem_bytes = px_disk_hits = px_disk_bytes = 0
         rb_hits = rb_bytes = rb_mem_hits = rb_mem_bytes = rb_disk_hits = rb_disk_bytes = 0
+        sp_hits = sp_bytes = sp_mem_hits = sp_mem_bytes = sp_disk_hits = sp_disk_bytes = 0
         og_misses = og_bytes = 0
         local_hit_time = 0.0
         proxy_hit_time = 0.0
@@ -1007,21 +1045,27 @@ class Simulator:
         # The step comments below are the profiler's phase markers
         # (_PHASE_MARKERS): keep their wording in sync.
         for t, c, d, s, v in self.trace.iter_rows():
-            # 0. proxy crash recovery
-            if recovery is not None and recovery(t):
+            # 0. routing and proxy crash recovery
+            if fed is not None:
+                # the home proxy's pre-request work, then its handles
+                pid = route(t, c)
+                (sim, browsers, browser_gets, browser_puts, browser_entries,
+                 proxy, proxy_entries, proxy_get, proxy_put,
+                 index, record_insert, record_evict, index_lookup, index_stale,
+                 failover, truth_holds, browser_put, recovery) = fed_bound[pid]
+            elif recovery is not None and recovery(t):
                 # a crash replaced the index (the proxy empties in place)
-                index = self.index
-                record_insert = index.record_insert if index is not None else None
-                record_evict = index.record_evict if index is not None else None
-                index_lookup = self._guarded_lookup_fn(index) if index is not None else None
-                index_stale = index.is_stale if index is not None else False
+                (sim, browsers, browser_gets, browser_puts, browser_entries,
+                 proxy, proxy_entries, proxy_get, proxy_put,
+                 index, record_insert, record_evict, index_lookup, index_stale,
+                 failover, truth_holds, browser_put, recovery) = self._bind()
             # -- per-request hooks: invariant monitor, coherence clock
             if monitor is not None:
                 # Conservation is checked from the loop's batched local
                 # tallies (the result's per-location counters flush
                 # only at the end); ledger/gate laws read live state.
                 monitor.tick_fast(
-                    result, n_requests, lb_hits + px_hits + rb_hits, og_misses
+                    result, n_requests, lb_hits + px_hits + rb_hits + sp_hits, og_misses
                 )
             if coherent:
                 last_mod = modified(d, v, t)
@@ -1114,7 +1158,7 @@ class Simulator:
             if index is not None and via is None and not go_origin:
                 hit = index_lookup(d, c, t, v)
                 if hit is None:
-                    if recovery is not None and self._recovering:
+                    if recovery is not None and sim._recovering:
                         # a miss on the partial index a browser could
                         # have served: a hit lost to recovery
                         if truth_holds(d, v, c):
@@ -1146,7 +1190,34 @@ class Simulator:
                     to_proxy = remote_to_proxy
                     to_browser = caches_remote
 
-            # 4. origin server
+            # 4. peer proxies whose digest claims the document (federation)
+            if peer_fetch is not None and via is None and not go_origin:
+                peer_served, memory = peer_fetch(sim, pid, c, d, s, v, t)
+                if peer_served:
+                    n_requests += 1
+                    total_bytes += s
+                    sp_hits += 1
+                    sp_bytes += s
+                    if memory is None:
+                        remote_storage_time += -(-s // disk_page) * disk_pt
+                    elif memory:
+                        sp_mem_hits += 1
+                        sp_mem_bytes += s
+                        remote_storage_time += -(-s // mem_block) * mem_bt
+                    else:
+                        sp_disk_hits += 1
+                        sp_disk_bytes += s
+                        remote_storage_time += -(-s // disk_page) * disk_pt
+                    if sec_transfer is not None:
+                        security_time += sec_transfer(s)
+                    if not peer_fills:
+                        continue
+                    via = "peer_fetch"
+                    ver = v
+                    to_proxy = has_proxy
+                    to_browser = has_browsers
+
+            # 5. origin server
             if via is None:
                 n_requests += 1
                 total_bytes += s
@@ -1235,7 +1306,7 @@ class Simulator:
                     # inlined _browser_put
                     bce = browser_entries[c]
                     already = d in bce
-                    self._now = t
+                    sim._now = t
                     browser_puts[c](d, s, ver)
                     if d in bce:
                         record_insert(c, d, ver, s, t, index_ttl, already)
@@ -1244,10 +1315,17 @@ class Simulator:
                 if stamp is not None:
                     stamp(browsers[c], d, t, last_mod)
             if index is not None and via != "proxy_probe":
-                n = index.n_entries
+                if fed is None:
+                    n = index.n_entries
+                else:
+                    n = sum([x.index.n_entries for x in fed_sims])
                 if n > peak_entries:
                     peak_entries = n
-                    peak_footprint = index.footprint_bytes()
+                    peak_footprint = (
+                        index.footprint_bytes()
+                        if fed is None
+                        else sum([x.index.footprint_bytes() for x in fed_sims])
+                    )
 
         # -- flush the batched counters --------------------------------
         overhead = result.overhead
@@ -1261,6 +1339,8 @@ class Simulator:
              px_disk_hits, px_disk_bytes),
             (HitLocation.REMOTE_BROWSER, rb_hits, rb_bytes, rb_mem_hits, rb_mem_bytes,
              rb_disk_hits, rb_disk_bytes),
+            (HitLocation.SIBLING_PROXY, sp_hits, sp_bytes, sp_mem_hits, sp_mem_bytes,
+             sp_disk_hits, sp_disk_bytes),
         ):
             stats = by_location[location]
             stats.hits += hits
@@ -1280,24 +1360,34 @@ class Simulator:
         result.index_peak_entries = peak_entries
         result.index_peak_footprint_bytes = peak_footprint
 
-        return self._finalise()
+        return self._finalise(fed)
 
-    def _phase_counts(self, result: SimulationResult) -> dict[str, int]:
+    def _phase_counts(self, result: SimulationResult, fed=None) -> dict[str, int]:
         """Requests reaching each step of the loop, read off the
-        finalised result (see :data:`repro.util.profiling.PHASES`)."""
+        finalised result (see :data:`repro.util.profiling.PHASES`).
+        A federation (*fed*) routes every request in step 0, and its
+        peer step sees the requests steps 1-3 left unserved."""
         n = result.n_requests
+        by_location = result.by_location
         recovers = self._fault_schedule is not None or self._checkpointer is not None
+        peers = fed is not None and len(fed.sims) > 1
         return {
-            "recovery": n if recovers else 0,
+            "recovery": n if recovers or fed is not None else 0,
             "browser_probe": n if self.features.has_browsers else 0,
             "proxy_probe": (
-                n - result.by_location[HitLocation.LOCAL_BROWSER].hits
+                n - by_location[HitLocation.LOCAL_BROWSER].hits
                 if self.features.has_proxy
                 else 0
             ),
             "index_lookup": result.index_lookups,
             "remote_delivery": result.index_lookups,
-            "origin_fetch": result.by_location[HitLocation.ORIGIN].misses,
+            "peer_fetch": (
+                by_location[HitLocation.SIBLING_PROXY].hits
+                + by_location[HitLocation.ORIGIN].misses
+                if peers
+                else 0
+            ),
+            "origin_fetch": by_location[HitLocation.ORIGIN].misses,
         }
 
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
@@ -1326,30 +1416,44 @@ class Simulator:
                 return True
         return False
 
-    def _finalise(self) -> SimulationResult:
+    def _finalise(self, fed=None) -> SimulationResult:
+        """Fold each engine's tail into the result — this one, or every
+        per-proxy engine of a federation (*fed*) in proxy order — then
+        check the conservation and ledger laws."""
         result = self.result
-        result.overhead.absorb_bus(self.bus.stats)
-        if self._recovering:
-            # The trace ended mid-rebuild: the degraded window ran to
-            # the last request, not to the never-reached window end.
-            self._close_window(self._last_t)
-        if self.index is not None:
-            stats = self.index.stats
-            lookups = self.index.n_lookups
-            messages = self.index.update_messages
-            if self._fault_schedule is not None:
-                # Fold in the generations destroyed by crashes.
-                stats = self._prior_stats.merged(stats)
-                lookups += self._prior_lookups
-                messages += self._prior_update_messages
+        stats = None
+        lookups = messages = checkpoint_bytes = 0
+        for sim in (self,) if fed is None else fed.sims:
+            result.overhead.absorb_bus(sim.bus.stats)
+            if sim._recovering:
+                # The trace ended mid-rebuild: the degraded window ran to
+                # the last request, not to the never-reached window end.
+                sim._close_window(sim._last_t)
+            index = sim.index
+            if index is not None:
+                sim_stats = index.stats
+                lookups += index.n_lookups
+                messages += index.update_messages
+                if sim._fault_schedule is not None:
+                    # Fold in the generations destroyed by crashes.
+                    sim_stats = sim._prior_stats.merged(sim_stats)
+                    lookups += sim._prior_lookups
+                    messages += sim._prior_update_messages
+                stats = sim_stats if stats is None else stats.merged(sim_stats)
+            if sim._checkpointer is not None:
+                checkpoint_bytes += sim._checkpointer.bytes_written
+        if stats is not None:
             result.index_stats = stats
             result.index_lookups = lookups
             result.overhead.index_update_messages = messages
         if self._checkpointer is not None:
-            result.checkpoint_bytes_written = self._checkpointer.bytes_written
+            result.checkpoint_bytes_written = checkpoint_bytes
         # The conservation and ledger laws hold on every run; only the
         # per-request ticks are opt-in.
-        (self._monitor or InvariantMonitor(self.config, 1)).check_final(result)
+        monitor, config = (
+            (self._monitor, self.config) if fed is None else (fed.monitor, fed.config)
+        )
+        (monitor or InvariantMonitor(config, 1)).check_final(result)
         return result
 
 
@@ -1360,14 +1464,15 @@ class Simulator:
 #: is charged to the step that served the request, named by the loop's
 #: ``via`` local.
 _PHASE_MARKERS = (
-    ("# 0. proxy crash recovery", "recovery"),
+    ("# 0. routing and proxy crash recovery", "recovery"),
     ("# -- per-request hooks", None),
     ("# 1. local browser cache", "browser_probe"),
     ("# 2. proxy cache", "proxy_probe"),
     ("# 3. browser index", "remote_delivery"),
     ("hit = index_lookup(", "index_lookup"),
     ("if hit is None:", "remote_delivery"),
-    ("# 4. origin server", "origin_fetch"),
+    ("# 4. peer proxies", "peer_fetch"),
+    ("# 5. origin server", "origin_fetch"),
     ("# -- fill tail", TAIL),
     ("# -- flush the batched counters", None),
 )
@@ -1393,14 +1498,20 @@ def simulate(
     With ``config.federation`` set the replay dispatches to the
     cooperative multi-proxy engine (:mod:`repro.federation.engine`)
     instead — same entry point, so sweeps, the journal, and the
-    process-pool workers need no federation-specific wiring.  The
-    federated loop is not sampled: ``profile`` accumulates only its
-    wall clock and request count.
+    process-pool workers need no federation-specific wiring.  Its
+    per-proxy engines share the one loop, so ``profile`` samples it the
+    same way (with the peer-proxy step as its own phase).
     """
     if config.federation is not None:
         # Imported lazily: repro.federation imports this module.
         from repro.federation.engine import FederatedSimulator
 
         engine = FederatedSimulator(trace, organization, config)
-        return engine.run() if profile is None else profile.time_replay(engine.run)
+        if profile is None:
+            return engine.run()
+        return profile.time_replay(
+            engine.run,
+            _loop_phase_map(),
+            functools.partial(engine.sims[0]._phase_counts, fed=engine),
+        )
     return Simulator(trace, organization, config, profile=profile).run()

@@ -26,7 +26,8 @@ bloom indexes and periodic index updates.  Five knobs raise
 :class:`ValueError` naming the knob: the tiered memory model and
 consistency policies (per-entry state the slot pool does not keep), a
 non-LRU browser policy (the pool implements LRU order), and federation
-and its link faults (a second, multi-proxy engine).
+and its link faults (the federated router in front of the same loop
+shards clients over per-proxy engines with object caches).
 """
 
 from __future__ import annotations

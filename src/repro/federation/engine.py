@@ -28,13 +28,23 @@ and all per-proxy engines share ONE :class:`SimulationResult`, so the
 engine-internal accounting helpers (failover waste, bus legs, recovery
 windows) charge the federation's single ledger directly.
 
-Determinism: with ``n_proxies == 1`` the loop below reproduces the
-single-proxy engine's straight-line request path operation for
-operation (the digest directory never exchanges), so the result is
-bit-identical to :func:`repro.core.simulator.simulate` without
-federation — the anchor the experiment and tests rely on.  With
-``n_proxies > 1`` and any stochastic knob active, each proxy derives
-an independent seed stream via
+There is no federated loop: :meth:`FederatedSimulator.run` replays
+through the single-proxy engine's own loop,
+:meth:`Simulator._replay <repro.core.simulator.Simulator._replay>`,
+with this engine as its router.  Step 0 of that loop asks
+:meth:`FederatedSimulator._route` for the request's home proxy and
+unpacks that proxy's bound handles; step 4 calls
+:meth:`FederatedSimulator._interproxy_fetch`.  Every knob the loop
+implements (coherence, tiered memory, quarantine, ...) therefore works
+per proxy without a federated copy.
+
+Determinism: with ``n_proxies == 1`` the routing step only advances
+the one proxy's crash clock (the digest directory never exchanges and
+there are no peers), so the result is bit-identical to
+:func:`repro.core.simulator.simulate` without federation, for every
+organization and consistency policy — the anchor the experiment and
+tests rely on.  With ``n_proxies > 1`` and any stochastic knob active,
+each proxy derives an independent seed stream via
 ``derive_seed(availability_seed, "federation-proxy", pid)`` so
 availability/corruption draws at different proxies are uncorrelated
 while staying independent of worker count and completion order.
@@ -44,14 +54,12 @@ from __future__ import annotations
 
 from repro.core.chaos import InvariantMonitor
 from repro.core.config import SimulationConfig
-from repro.core.events import HitLocation
 from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization
 from repro.core.simulator import Simulator, _dense_client_count, bloom_expected_docs
 from repro.federation.digest import DigestDirectory
 from repro.federation.linkfaults import PartitionSchedule
 from repro.hierarchy.config import assign_proxy
-from repro.index.staleness import StalenessStats
 from repro.traces.record import Trace
 from repro.util.rng import derive_seed
 
@@ -89,7 +97,8 @@ class FederatedSimulator:
         # Each per-proxy engine runs the plain single-proxy config; the
         # federation layer owns all cross-proxy behavior (and the
         # resolved chaos residue — the invariant monitor — lives here,
-        # not on the per-proxy engines, whose loops never run).
+        # not on the per-proxy engines, which run only as routes of the
+        # shared loop).
         base = config.with_(federation=None, chaos=None)
         self.base = base
         stochastic = (
@@ -177,100 +186,51 @@ class FederatedSimulator:
             capacity += per_client * members
         return max(8, capacity)
 
-    # -- the replay loop ----------------------------------------------------
+    # -- routing ---------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        features = self.features
-        config = self.base
-        fed = self.fed
+        """Replay the trace through the one request-path loop,
+        :meth:`Simulator._replay <repro.core.simulator.Simulator._replay>`,
+        with this federation as its router."""
+        self._bound = [sim._bind() for sim in self.sims]
+        return self.sims[0]._replay(self)
+
+    def _route(self, t: float, c: int) -> int:
+        """Step 0 of the loop: the work due before client *c*'s request
+        at time *t* — the fabric poll (anti-entropy once a partition
+        heals), the home proxy's crash/checkpoint clock, the periodic
+        digest exchange — in that order.  Returns the home proxy."""
         result = self.result
-        overhead = result.overhead
-        sims = self.sims
-        owner = self.owner
-        needs_recovery = self._needs_recovery
-        directory = self.directory
         schedule = self.link_schedule
-        monitor = self.monitor
-        lan = config.lan
-        wan = config.wan
-        federated = fed.n_proxies > 1
+        if schedule is not None:
+            entered, healed = schedule.poll(t)
+            if entered:
+                result.partition_windows += entered
+            if healed:
+                # The fabric healed since the last request: the
+                # separated sides reconcile their digest views.
+                self.directory.antientropy(self.sims, t, result)
+        pid = self.owner[c]
+        self._advance(pid, t)
+        if self.fed.n_proxies > 1:
+            self.directory.maybe_exchange(self.sims, t, result, schedule)
+        return pid
 
-        for t, c, d, s, v in self.trace.iter_rows():
-            if schedule is not None:
-                entered, healed = schedule.poll(t)
-                if entered:
-                    result.partition_windows += entered
-                if healed:
-                    # The fabric healed since the last request: the
-                    # separated sides reconcile their digest views.
-                    directory.antientropy(sims, t, result)
-            if monitor is not None:
-                monitor.tick(result)
-            pid = owner[c]
-            sim = sims[pid]
-            if needs_recovery[pid]:
-                sim._advance_recovery(t)
-            if federated:
-                directory.maybe_exchange(sims, t, result, schedule)
-
-            # 1. local browser cache
-            if features.has_browsers:
-                entry, memory = sim._get(sim.browsers[c], d)
-                if entry is not None and entry.version == v:
-                    result.record(HitLocation.LOCAL_BROWSER, s, memory)
-                    overhead.local_hit_time += sim._storage_time(s, memory)
-                    continue
-
-            # 2. home proxy cache
-            if sim.proxy is not None:
-                entry, memory = sim._get(sim.proxy, d)
-                if entry is not None and entry.version == v:
-                    result.record(HitLocation.PROXY, s, memory)
-                    overhead.proxy_hit_time += sim._storage_time(
-                        s, memory
-                    ) + lan.transfer_time(s)
-                    if features.has_browsers:
-                        sim._browser_put(c, d, s, v, t)
-                    continue
-
-            # 3. home browser index -> remote browser (with failover)
-            if sim.index is not None:
-                remote_served, memory = sim._remote_delivery(c, d, s, v, t)
-                if remote_served:
-                    result.record(HitLocation.REMOTE_BROWSER, s, memory)
-                    overhead.remote_storage_time += sim._storage_time(s, memory)
-                    if sim._security is not None:
-                        overhead.security_time += sim._security.transfer_cost(s)
-                    if features.caches_remote_fetches:
-                        sim._browser_put(c, d, s, v, t)
-                        if config.cache_remote_hits_at_proxy and sim.proxy is not None:
-                            sim.proxy.put(d, s, v)
-                    self._track_peak()
-                    continue
-
-            # 4. federation: peers whose digest claims the document
-            if federated and self._interproxy_fetch(sim, pid, c, d, s, v, t):
-                continue
-
-            # 5. origin server
-            result.record(HitLocation.ORIGIN, s)
-            overhead.origin_miss_time += wan.fetch_time(s) + lan.transfer_time(s)
-            if sim.proxy is not None:
-                sim.proxy.put(d, s, v)
-            if features.has_browsers:
-                sim._browser_put(c, d, s, v, t)
-            if sim.index is not None:
-                self._track_peak()
-
-        return self._finalise()
+    def _advance(self, pid: int, t: float) -> None:
+        """Run proxy *pid*'s crash/checkpoint clock up to *t*; a crash
+        replaces its index, so the loop's handles are rebound."""
+        if self._needs_recovery[pid] and self.sims[pid]._advance_recovery(t):
+            self._bound[pid] = self.sims[pid]._bind()
 
     # -- the inter-proxy step ------------------------------------------------
 
     def _interproxy_fetch(
         self, home: Simulator, pid: int, c: int, d: int, s: int, v: int, t: float
-    ) -> bool:
+    ) -> tuple[bool, bool | None]:
         """Probe every peer whose digest claims *d*; serve from the
-        first that can.  Returns True when the request was served.
+        first that can.  Returns ``(served, memory_tier)``; on a serve
+        the link and the home bus are charged here, and the loop
+        accounts the ``SIBLING_PROXY`` hit and fills the home caches.
 
         A claim that fails (evicted since the exchange, wrong version,
         bloom collision, churned-away holders) is a digest false hit:
@@ -302,17 +262,18 @@ class FederatedSimulator:
                 overhead.wasted_round_trip_time += setup
                 result.wasted_partition_time += setup
                 continue
-            qsim = sims[q]
             # The peer's crash/checkpoint clock advances when it is
             # probed, so the probe sees the peer's state at time t
             # (including any recovery degradation), not its state at
             # the peer's last home request.
-            if self._needs_recovery[q]:
-                qsim._advance_recovery(t)
-            served, memory = self._peer_serve(qsim, c, d, s, v, t)
+            self._advance(q, t)
+            served, memory = self._peer_serve(sims[q], c, d, s, v, t)
             if served:
-                self._account_interproxy_hit(home, c, d, s, v, t, memory)
-                return True
+                # one inter-proxy transfer, then the home LAN leg
+                result.interproxy_hits += 1
+                result.interproxy_bandwidth_time += fed.transfer_time(s)
+                home.bus.submit(t, s)
+                return True, memory
             result.digest_false_hits += 1
             setup = fed.interproxy_setup
             overhead.wasted_round_trip_time += setup
@@ -329,7 +290,7 @@ class FederatedSimulator:
             if self._could_serve(sims[q], c, d, v):
                 result.digest_missed_hits += 1
                 break
-        return False
+        return False, None
 
     def _peer_serve(
         self, qsim: Simulator, c: int, d: int, s: int, v: int, t: float
@@ -349,38 +310,6 @@ class FederatedSimulator:
             return qsim._remote_delivery(c, d, s, v, t)
         return False, None
 
-    def _account_interproxy_hit(
-        self,
-        home: Simulator,
-        c: int,
-        d: int,
-        s: int,
-        v: int,
-        t: float,
-        memory: bool | None,
-    ) -> None:
-        """Price a cross-proxy serve: one storage read at the peer, the
-        inter-proxy transfer (informational link occupancy), and the
-        home LAN leg to the client; then populate the home caches when
-        ``cache_interproxy_fetches`` is on."""
-        fed = self.fed
-        result = self.result
-        overhead = result.overhead
-        result.record(HitLocation.SIBLING_PROXY, s, memory)
-        result.interproxy_hits += 1
-        overhead.remote_storage_time += home._storage_time(s, memory)
-        result.interproxy_bandwidth_time += fed.transfer_time(s)
-        home.bus.submit(t, s)
-        if home._security is not None:
-            overhead.security_time += home._security.transfer_cost(s)
-        if fed.cache_interproxy_fetches:
-            if home.proxy is not None:
-                home.proxy.put(d, s, v)
-            if self.features.has_browsers:
-                home._browser_put(c, d, s, v, t)
-            if home.index is not None:
-                self._track_peak()
-
     def _could_serve(self, qsim: Simulator, c: int, d: int, v: int) -> bool:
         """Side-effect-free oracle: could this peer have served (d, v)
         right now?  Mirrors :meth:`_peer_serve` with ``peek``/truth
@@ -391,67 +320,6 @@ class FederatedSimulator:
             if held is not None and held.version == v:
                 return True
         return qsim.index is not None and qsim._truth_holds(d, v, exclude=c)
-
-    # -- accounting ----------------------------------------------------------
-
-    def _track_peak(self) -> None:
-        """Aggregate index peak across all proxies (reduces to the
-        replay loop's single-index peak tracking for one proxy)."""
-        sims = self.sims
-        total = 0
-        for sim in sims:
-            if sim.index is not None:
-                total += sim.index.n_entries
-        result = self.result
-        if total > result.index_peak_entries:
-            result.index_peak_entries = total
-            result.index_peak_footprint_bytes = sum(
-                sim.index.footprint_bytes()
-                for sim in sims
-                if sim.index is not None
-            )
-
-    def _finalise(self) -> SimulationResult:
-        """Fold per-proxy tails into the shared result.
-
-        Mirrors ``Simulator._finalise`` per proxy — bus absorption,
-        open recovery windows, index-generation folding — then merges
-        the per-proxy index accounting, so one proxy reduces to the
-        single-proxy finalise exactly."""
-        result = self.result
-        stats: StalenessStats | None = None
-        lookups = 0
-        messages = 0
-        checkpoint_bytes = 0
-        has_checkpointer = False
-        for sim in self.sims:
-            result.overhead.absorb_bus(sim.bus.stats)
-            if sim._recovering:
-                sim._close_window(sim._last_t)
-            if sim.index is not None:
-                sim_stats = sim.index.stats
-                sim_lookups = sim.index.n_lookups
-                sim_messages = sim.index.update_messages
-                if sim._fault_schedule is not None:
-                    sim_stats = sim._prior_stats.merged(sim_stats)
-                    sim_lookups += sim._prior_lookups
-                    sim_messages += sim._prior_update_messages
-                stats = sim_stats if stats is None else stats.merged(sim_stats)
-                lookups += sim_lookups
-                messages += sim_messages
-            if sim._checkpointer is not None:
-                has_checkpointer = True
-                checkpoint_bytes += sim._checkpointer.bytes_written
-        if stats is not None:
-            result.index_stats = stats
-            result.index_lookups = lookups
-            result.overhead.index_update_messages = messages
-        if has_checkpointer:
-            result.checkpoint_bytes_written = checkpoint_bytes
-        # The conservation and ledger laws hold on every run; only the
-        # per-request ticks are opt-in.
-        (self.monitor or InvariantMonitor(self.config, 1)).check_final(result)
-        return result
 
 
 def federated_simulate(

@@ -8,19 +8,23 @@ went:
 ====================  ====================================================
 phase                 what it covers
 ====================  ====================================================
-``recovery``          checkpoint/crash event processing before a request
+``recovery``          routing to the home proxy (federation) and
+                      checkpoint/crash event processing before a request
 ``browser_probe``     local browser-cache lookup (and hit accounting)
 ``proxy_probe``       proxy-cache lookup (and hit accounting)
 ``index_lookup``      the browser-index query of the remote step
 ``remote_delivery``   the whole remote-hit path: lookup, holder probes,
                       failover, transfer pricing (includes
                       ``index_lookup`` — it is a sub-phase, not disjoint)
+``peer_fetch``        the federation's peer-proxy step: digest claims,
+                      peer probes, inter-proxy pricing and re-population
 ``origin_fetch``      the origin miss path: WAN pricing and re-population
 ====================  ====================================================
 
 **Event counts are exact** and deterministic.  They are read off the
 finalised result, not counted per request: requests reaching each step
-(``proxy_probe`` counts the requests the local browser did not serve),
+(``proxy_probe`` counts the requests the local browser did not serve,
+``peer_fetch`` those the home proxy's three steps did not serve),
 index lookups for ``index_lookup`` and ``remote_delivery``, origin
 misses for ``origin_fetch``.
 
@@ -64,6 +68,7 @@ PHASES = (
     "proxy_probe",
     "index_lookup",
     "remote_delivery",
+    "peer_fetch",
     "origin_fetch",
 )
 

@@ -14,7 +14,8 @@ policies — both engines must produce exactly equal
 :class:`~repro.core.metrics.SimulationResult`\\ s, compared field for
 field through :func:`dataclasses.asdict`.  The same holds for the flat
 client-state backend (``simulate_stream``) on the configurations it
-accepts.
+accepts, and for a one-proxy federation, whose router sends every
+request through the same loop.
 
 The example budget follows ``HYPOTHESIS_PROFILE``: 25 examples per
 test by default (fast enough for the tier-1 run), 200 under the
@@ -36,7 +37,7 @@ from repro.consistency.policies import (
     FixedTTLPolicy,
 )
 from repro.core.churn import ChurnModel
-from repro.core.config import SimulationConfig
+from repro.core.config import FederationConfig, SimulationConfig
 from repro.core.policies import Organization
 from repro.core.proxy_faults import ProxyFaultModel
 from repro.core.reference import reference_simulate
@@ -181,6 +182,15 @@ def test_profiled_matches_reference(trace, config, org):
     assert opt == ref
     assert profile.n_requests == len(trace)
     assert profile.wall_seconds > 0.0
+
+
+@given(trace=traces(), config=configs(), org=ORGS)
+def test_single_proxy_federation_matches_reference(trace, config, org):
+    """A one-proxy federation routes every request through the same
+    loop, so it must equal the frozen engine on every drawn knob."""
+    ref = dataclasses.asdict(reference_simulate(trace, org, config))
+    federated = config.with_(federation=FederationConfig(n_proxies=1))
+    assert dataclasses.asdict(simulate(trace, org, federated)) == ref
 
 
 @given(trace=traces(), config=configs(), org=ORGS)

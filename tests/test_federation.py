@@ -10,11 +10,18 @@ anchors.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from repro.consistency.policies import (
+    AdaptiveTTLPolicy,
+    AlwaysValidatePolicy,
+    FixedTTLPolicy,
+)
 from repro.core import (
+    ChaosPlan,
     ChurnModel,
     FederationConfig,
     HitLocation,
@@ -26,8 +33,14 @@ from repro.core import (
 )
 from repro.core.simulator import Simulator, bloom_expected_docs
 from repro.index import PeriodicUpdatePolicy
+from repro.index.checkpoint import CheckpointPolicy
 from repro.experiments import federation as federation_experiment
-from repro.federation import DigestDirectory, FederatedSimulator, build_proxy_digest
+from repro.federation import (
+    DigestDirectory,
+    FederatedSimulator,
+    LinkFaultModel,
+    build_proxy_digest,
+)
 from repro.hierarchy.config import assign_proxy
 from repro.traces.profiles import small_paper_trace
 from repro.traces.record import Trace
@@ -97,14 +110,87 @@ def test_single_proxy_federation_bit_identical(small_trace):
     assert federated.digest_bytes_exchanged == 0
 
 
+@pytest.mark.parametrize(
+    "consistency",
+    [None, FixedTTLPolicy(ttl=600.0), AlwaysValidatePolicy(), AdaptiveTTLPolicy()],
+    ids=["none", "fixed-ttl", "always-validate", "adaptive-ttl"],
+)
 @pytest.mark.parametrize("org", list(Organization))
-def test_single_proxy_identity_holds_for_every_organization(small_trace, org):
-    base = SimulationConfig.relative(small_trace, 0.05, browser_sizing="minimum")
+def test_single_proxy_identity_holds_for_every_organization(
+    small_trace, org, consistency
+):
+    base = SimulationConfig.relative(
+        small_trace, 0.05, browser_sizing="minimum", consistency=consistency
+    )
     plain = simulate(small_trace, org, base)
     federated = simulate(
         small_trace, org, base.with_(federation=FederationConfig(n_proxies=1))
     )
     assert dataclasses.asdict(federated) == dataclasses.asdict(plain)
+
+
+# -- multi-proxy fault runs, pinned ---------------------------------------------
+
+#: sha256 of ``repr(dataclasses.asdict(result))`` for multi-proxy runs
+#: whose proxies crash while peers probe them; recorded from the
+#: federated engine's own loop before it moved onto
+#: ``Simulator._replay``.  A peer probe that crashes a proxy must
+#: rebind the handles the loop uses when that proxy next routes a
+#: request; without that rebind all four digests change.
+PINNED_FAULT_DIGESTS = {
+    "crash": "33c05dc6fa36afa0bfd15b71f97a796b7933cc4761e8d8decd859265b19f4d75",
+    "checkpoint": "1960e83085add62675face1049b6401e55c3f76de02a83b092bc8f254a65e253",
+    "crash-rate": "c7af8060da1241df3c40f2e8ca5aec45b040887f2a80dcb9587e209b5f345f79",
+    "chaos": "04b63fc824bb87e0ff002727ec8f64fc68acca442f529cbb5ebc76e4b9c7061c",
+}
+
+
+def _pinned_fault_config(trace, case):
+    span = trace.duration
+    base = SimulationConfig.relative(
+        trace, 0.10, browser_sizing="minimum", max_holder_retries=1
+    )
+    crashes = ProxyFaultModel(crash_times=(0.3 * span, 0.65 * span))
+    if case == "crash":
+        return base.with_(
+            proxy_faults=crashes,
+            reannounce_rate=0.05,
+            federation=FederationConfig(n_proxies=3, digest_period=span / 10),
+        )
+    if case == "checkpoint":
+        return base.with_(
+            index_kind="bloom",
+            proxy_faults=crashes,
+            reannounce_rate=0.05,
+            checkpoint=CheckpointPolicy(interval=span / 20),
+            federation=FederationConfig(n_proxies=4, digest_period=span / 10),
+        )
+    if case == "crash-rate":
+        return base.with_(
+            proxy_faults=ProxyFaultModel(crash_rate=4.0 / span),
+            reannounce_rate=0.05,
+            federation=FederationConfig(n_proxies=3, digest_period=span / 10),
+        )
+    return base.with_(
+        index_kind="bloom",
+        federation=FederationConfig(n_proxies=2, digest_period=span / 10),
+        chaos=ChaosPlan(
+            proxy_faults=ProxyFaultModel(crash_times=(0.3 * span, 0.7 * span)),
+            churn=ChurnModel(),
+            link_faults=LinkFaultModel(
+                partition_windows=((0.4 * span, 0.6 * span),)
+            ),
+            check_invariants_every=500,
+        ),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FAULT_DIGESTS))
+def test_multi_proxy_fault_runs_are_pinned(small_trace, case):
+    result = simulate(small_trace, ORG, _pinned_fault_config(small_trace, case))
+    assert result.proxy_crashes > 0 and result.interproxy_hits > 0
+    digest = hashlib.sha256(repr(dataclasses.asdict(result)).encode()).hexdigest()
+    assert digest == PINNED_FAULT_DIGESTS[case]
 
 
 # -- digest build & exchange ---------------------------------------------------

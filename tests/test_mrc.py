@@ -126,6 +126,31 @@ def test_pure_lru_organizations_bit_exact_vs_replay(trace, grid):
             )
 
 
+def test_refused_refresh_of_evicted_copy_keeps_older_entries_evicted():
+    """Doc 4 (2 B) evicts doc 0 from a 2-byte browser, doc 1 evicts doc
+    4, then doc 4 comes back at 3 B and is refused.  The refusal must
+    not make doc 0 resident again: its next reference is a miss."""
+    docs = [0] * 5 + [4, 1, 4] + [0] * 3
+    sizes = [1] * 5 + [2, 1, 3] + [1] * 3
+    versions = [0] * 7 + [1] + [0] * 3
+    n = len(docs)
+    trace = Trace(
+        timestamps=np.arange(n, dtype=np.float64),
+        clients=np.zeros(n, dtype=np.int64),
+        docs=np.array(docs),
+        sizes=np.array(sizes),
+        versions=np.array(versions),
+        name="refused-refresh",
+    )
+    grid = CapacityGrid((0.1,), (1,), (2,))
+    analysis = compute_mrc(trace, grid, organizations=tuple(MRC_EXACT_ORGANIZATIONS))
+    for org in MRC_EXACT_ORGANIZATIONS:
+        replay = simulate(
+            trace, org, SimulationConfig(proxy_capacity=1, browser_capacity=2)
+        )
+        assert analysis.predict(org, 0.1).hit_ratio == replay.hit_ratio
+
+
 # -- monotonicity ------------------------------------------------------
 
 

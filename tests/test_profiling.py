@@ -93,6 +93,28 @@ def test_profiled_chaos_run_is_identical(small_trace):
     assert profile.phase_counts["recovery"] == len(small_trace)
 
 
+def test_profiled_federated_run_is_sampled_and_identical(small_trace):
+    """A two-proxy federation runs the same loop, so a profile samples
+    it phase by phase (the peer step included) and changes nothing."""
+    duration = float(small_trace.timestamps.max())
+    config = SimulationConfig.relative(
+        small_trace,
+        proxy_frac=0.10,
+        federation=FederationConfig(n_proxies=2, digest_period=duration / 12),
+    )
+    plain, profiled, profile = _asdict_pair(small_trace, BAPS, config)
+    assert profiled == plain
+    assert plain["interproxy_hits"] > 0
+    counts = profile.phase_counts
+    assert counts["recovery"] == len(small_trace)
+    misses = plain["by_location"][HitLocation.ORIGIN]["misses"]
+    assert counts["peer_fetch"] == plain["interproxy_hits"] + misses
+    assert counts["origin_fetch"] == misses
+    assert set(profile.phase_seconds) <= set(PHASES)
+    # samples landed in the shared loop's phases, not only wall clock
+    assert profile.total_phase_seconds > 0.0
+
+
 # -- exact counts, sampled seconds ------------------------------------------
 
 
@@ -132,6 +154,26 @@ def test_samples_are_charged_to_the_step_that_did_the_work(small_trace, monkeypa
         "origin_fetch": misses,
     }
     assert sampler.total == result.index_lookups + proxy_hits + remote_hits + misses
+
+
+def test_samples_in_the_peer_step_are_charged_to_peer_fetch(small_trace, monkeypatch):
+    from repro.federation.engine import FederatedSimulator
+
+    sampler = profiling._Sampler(_loop_phase_map())
+    fetch = FederatedSimulator._interproxy_fetch
+
+    def sampled_fetch(self, *args):
+        sampler._on_sample(signal.SIGPROF, sys._getframe())
+        return fetch(self, *args)
+
+    monkeypatch.setattr(FederatedSimulator, "_interproxy_fetch", sampled_fetch)
+    config = SimulationConfig.relative(
+        small_trace, proxy_frac=0.10, federation=FederationConfig(n_proxies=2)
+    )
+    result = simulate(small_trace, BAPS, config)
+    misses = result.by_location[HitLocation.ORIGIN].misses
+    assert result.interproxy_hits > 0
+    assert sampler.samples == {"peer_fetch": result.interproxy_hits + misses}
 
 
 def test_every_phase_marker_is_in_the_loop():

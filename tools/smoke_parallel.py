@@ -32,6 +32,10 @@ federation with a digest exchange every 1/12th of the trace.  The
 smoke asserts cooperation actually fired — cross-proxy hits were
 served and digest staleness produced accountable false hits — and the
 generic journal/resume block covers the new counters' round-trip.
+Under ``--federation`` and ``--chaos`` the serial sweep runs with the
+phase profiler on (``EngineOptions(profile=True)``): its timing must
+name the ``peer_fetch`` phase, and its results must still equal the
+unprofiled parallel run cell for cell.
 
 With ``--adversarial`` every cell runs against a hostile peer
 population — 20% persistent polluters (every transfer they serve fails
@@ -263,7 +267,16 @@ def main(argv: list[str] | None = None) -> int:
             backoff_base=0.1,
         )
 
-    serial = run_policy_sweep(trace, workers=0, **grid)
+    # A federated serial sweep runs under the phase profiler: the
+    # per-proxy engines share the one replay loop, so its timing must
+    # name the peer-proxy step, and the profiled serial results must
+    # still match the (unprofiled) parallel ones cell for cell.
+    federated = bool(args.federation or args.chaos)
+    serial = run_policy_sweep(
+        trace, workers=0,
+        options=EngineOptions(profile=True) if federated else None,
+        **grid,
+    )
     parallel = run_policy_sweep(trace, workers=workers, options=options, **grid)
 
     for sweep, label in ((serial, "serial"), (parallel, f"parallel x{workers}")):
@@ -296,6 +309,14 @@ def main(argv: list[str] | None = None) -> int:
         for org, frac in diverged:
             print(f"  ({org.value}, {frac:g})")
         return 1
+
+    if federated:
+        phases = dict(serial.timing.phase_seconds)
+        print()
+        print(f"profiled serial sweep: phases {', '.join(phases)}")
+        if "peer_fetch" not in phases:
+            print("FAIL: the profiled federated sweep named no peer_fetch phase")
+            return 1
 
     if args.churn and args.max_holder_retries > 0:
         rescued = sum(
