@@ -51,13 +51,20 @@ its own: it is a router in front of this one, holding one bound
 handle tuple per proxy.  Step 0 routes each request to its home proxy
 (advancing the fabric, that proxy's crash clock and the digest
 exchange), and step 4 asks the peer proxies, whose probes reuse
-:meth:`_remote_delivery`.  The loop is the throughput
-bottleneck of every sweep, so it is written as an *optimized fast
-path*: per-request counters accumulate in local variables and flush
-into the result once at finalise, the timing arithmetic of the
-§4.2/§5 models is inlined (same operations in the same order, so the
-floats are bit-identical), per-client cache handles are precomputed,
-and config/feature reads are hoisted out of the loop.
+:meth:`_remote_delivery`.  *Truth queries* — could a browser the
+index missed have served the request (false misses, hits lost to
+recovery, a federation's missed hits)? — read a holder map of the
+true browser contents (:meth:`_truth_holds`), never the caches.  The
+engine keeps the map current through the handles that already carry
+every browser insert and evict to the index, so the loop has no
+branch for it, and only where a truth query can be asked: a stale
+index, crash recovery, or a federation of several proxies.  The loop
+is the throughput bottleneck of every sweep, so it is written as an
+*optimized fast path*: per-request counters accumulate in local
+variables and flush into the result once at finalise, the timing
+arithmetic of the §4.2/§5 models is inlined (same operations in the
+same order, so the floats are bit-identical), per-client cache handles
+are precomputed, and config/feature reads are hoisted out of the loop.
 :mod:`repro.core.reference` keeps a frozen copy of the straight-line
 engine; the differential suite (``tests/test_differential.py``)
 replays randomized configurations through both and asserts the
@@ -201,8 +208,6 @@ class Simulator:
         )
         self.browsers = []
         self.flat = None
-        #: clients :meth:`_truth_holds` scans; None means all of them.
-        self._shard: list[int] | None = None
         if self.features.has_browsers:
             capacities = self._browser_capacities(n_clients)
             if self.flat_clients:
@@ -297,6 +302,13 @@ class Simulator:
             if config.checkpoint is not None and self.features.has_index
             else None
         )
+        #: doc -> {client: version}: the true browser contents, kept
+        #: only where a truth query can be asked (:meth:`_truth_holds`).
+        self._holders: dict[int, dict[int, int]] | None = None
+        if self.index is not None:
+            self._bind_index_events()
+            if self.index.is_stale or self._fault_schedule is not None:
+                self._track_holders()
         self._recovering = False
         self._window_start = 0.0
         self._window_end = 0.0
@@ -369,9 +381,59 @@ class Simulator:
 
     def _make_evict_hook(self, client: int):
         def hook(doc: int) -> None:
-            self.index.record_evict(client, doc, self._now)
+            self._record_evict(client, doc, self._now)
 
         return hook
+
+    # -- browser events: the index, and the holder map when kept -----------
+
+    def _bind_index_events(self) -> None:
+        """Point ``_record_insert``/``_record_evict`` — the handles every
+        browser insert and evict goes through (:meth:`_bind`,
+        :meth:`_browser_put`, the on-evict hooks) — at the index, or
+        through the holder map when one is kept."""
+        if self._holders is None:
+            self._record_insert = self.index.record_insert
+            self._record_evict = self.index.record_evict
+        else:
+            self._record_insert = self._holder_insert
+            self._record_evict = self._holder_evict
+
+    def _track_holders(self) -> None:
+        """Keep the holder map from here on (without an index no truth
+        query is ever asked).  Called before the replay by the
+        constructor (stale index or crash recovery) and by a federation
+        of more than one proxy (peer missed-hit checks)."""
+        if self.index is not None and self._holders is None:
+            self._holders = {}
+            self._bind_index_events()
+
+    def _holder_insert(
+        self,
+        client: int,
+        doc: int,
+        version: int,
+        size: int,
+        now: float,
+        ttl: float | None = None,
+        replace: bool = False,
+    ) -> None:
+        """``index.record_insert``, recording the copy in the holder map."""
+        held = self._holders.get(doc)
+        if held is None:
+            self._holders[doc] = {client: version}
+        else:
+            held[client] = version
+        self.index.record_insert(client, doc, version, size, now, ttl, replace)
+
+    def _holder_evict(self, client: int, doc: int, now: float) -> None:
+        """``index.record_evict``, dropping the copy from the holder map
+        (a no-op when already dropped: a refreshed document too large
+        for its cache is reported evicted twice)."""
+        held = self._holders.get(doc)
+        if held is not None and held.pop(client, None) is not None and not held:
+            del self._holders[doc]
+        self.index.record_evict(client, doc, now)
 
     # -- cache access helpers (uniform over plain / tiered caches) ----------
 
@@ -661,7 +723,8 @@ class Simulator:
         return (True, memory) if served else (False, None)
 
     def _browser_put(self, client: int, doc: int, size: int, version: int, now: float) -> None:
-        """Insert into a browser cache, keeping the index in sync.
+        """Insert into a browser cache, keeping the index (and the
+        holder map, when kept) in sync.
 
         Index events follow the put's own order on both backends: the
         evictions it caused first, then the insert (or the eviction of
@@ -674,7 +737,7 @@ class Simulator:
                 return
             already = flat.peek(client, doc) >= 0
             for evicted in flat.put(client, doc, size, version):
-                index.record_evict(client, evicted, now)
+                self._record_evict(client, evicted, now)
             cached = flat.peek(client, doc) >= 0
         else:
             cache = self.browsers[client]
@@ -687,7 +750,7 @@ class Simulator:
             cached = doc in cache
         # An oversized object is refused; only index what is cached.
         if cached:
-            index.record_insert(
+            self._record_insert(
                 client,
                 doc,
                 version,
@@ -697,7 +760,7 @@ class Simulator:
                 replace=already,
             )
         elif already:
-            index.record_evict(client, doc, now)
+            self._record_evict(client, doc, now)
 
     # -- proxy crash recovery ------------------------------------------------
 
@@ -769,6 +832,7 @@ class Simulator:
         self._prior_lookups += old.n_lookups
         self._prior_update_messages += old.update_messages
         self.index = self._new_index(old.n_clients)
+        self._bind_index_events()
         if self._checkpointer is not None:
             snapshot = self._checkpointer.latest()
             if snapshot is not None:
@@ -873,8 +937,8 @@ class Simulator:
             proxy.get if proxy is not None and not tiered else None,
             proxy.put if proxy is not None else None,
             index,
-            index.record_insert if index is not None else None,
-            index.record_evict if index is not None else None,
+            self._record_insert if index is not None else None,
+            self._record_evict if index is not None else None,
             self._guarded_lookup_fn(index) if index is not None else None,
             index.is_stale if index is not None else False,
             self._failover_deliver,
@@ -1393,27 +1457,16 @@ class Simulator:
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
         """Does any other browser actually hold (doc, version)?
 
-        Scans every client, or only ``_shard`` when it is set: a
-        federated per-proxy engine's member clients
-        (:class:`~repro.federation.engine.FederatedSimulator`), since a
-        non-member's browser cache at that proxy is never written."""
-        flat = self.flat
-        if flat is not None:
-            e_ver = flat.e_ver
-            for cid in range(len(flat.caps)):
-                if cid != exclude:
-                    slot = flat.peek(cid, doc)
-                    if slot >= 0 and e_ver[slot] == version:
-                        return True
-            return False
-        browsers = self.browsers
-        shard = self._shard
-        for cid in range(len(browsers)) if shard is None else shard:
-            if cid == exclude:
-                continue
-            held = browsers[cid].peek(doc)
-            if held is not None and held.version == version:
-                return True
+        Answered from the holder map in O(holders of *doc*), not by
+        scanning caches; the map describes the browsers, not the index,
+        so it survives proxy crashes.  A federated per-proxy engine's
+        map only ever holds its member clients, the only browsers that
+        proxy writes."""
+        held = self._holders.get(doc)
+        if held:
+            for cid, ver in held.items():
+                if ver == version and cid != exclude:
+                    return True
         return False
 
     def _finalise(self, fed=None) -> SimulationResult:

@@ -37,6 +37,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization
 from repro.core.simulator import Simulator
+from repro.util.profiling import ReplayProfile
 
 __all__ = ["StreamSimulator", "simulate_stream"]
 
@@ -73,7 +74,8 @@ class StreamSimulator(Simulator):
     *source* is anything with ``name``, ``n_clients``,
     ``has_dense_clients``, ``max_doc_id``, ``__len__`` and
     ``iter_rows()`` — a :class:`~repro.traces.record.Trace` or a
-    :class:`~repro.traces.streaming.TraceStream`.
+    :class:`~repro.traces.streaming.TraceStream`.  ``profile`` samples
+    the loop exactly as it does for :class:`Simulator`.
     """
 
     flat_clients = True
@@ -83,6 +85,7 @@ class StreamSimulator(Simulator):
         source,
         organization: Organization,
         config: SimulationConfig,
+        profile: ReplayProfile | None = None,
     ) -> None:
         check_stream_config(config)
         if source.max_doc_id >= DOC_LIMIT:
@@ -90,18 +93,21 @@ class StreamSimulator(Simulator):
                 f"document id {source.max_doc_id} exceeds the packed-key "
                 f"limit ({DOC_LIMIT})"
             )
-        super().__init__(source, organization, config)
+        super().__init__(source, organization, config, profile=profile)
 
 
 def simulate_stream(
     source,
     organization: Organization,
     config: SimulationConfig,
+    profile: ReplayProfile | None = None,
 ) -> SimulationResult:
     """Replay any row source over the flat client-state backend.
 
     Bit-identical to ``simulate(trace, organization, config)`` on the
     materialised trace; raises :class:`ValueError` for the knobs listed
-    in the module docstring.
+    in the module docstring.  ``profile`` (a
+    :class:`~repro.util.profiling.ReplayProfile`) runs the same loop
+    under the phase sampler; results are bit-identical either way.
     """
-    return StreamSimulator(source, organization, config).run()
+    return StreamSimulator(source, organization, config, profile=profile).run()

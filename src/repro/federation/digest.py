@@ -6,6 +6,17 @@ member client holds — into one bloom filter and sends it to every peer.
 Peers answer local misses by probing whichever proxies' digests claim
 the document.
 
+Like Summary Cache, each proxy keeps its summary current instead of
+rebuilding it: :class:`CountingSummary` holds the member set (proxy
+cache keys plus the browser index's ``claimed_docs``) as of the last
+exchange and a count per bit.  An exchange recomputes the member set
+from live state with plain set operations, then adds or subtracts the
+hash positions of only the keys that joined or left, so its hashing
+cost grows with churn between exchanges, not with cache size.  The
+bits are exactly the positions whose count is positive, which is the
+OR-build of the member set, and each shipped digest is an immutable
+snapshot of them (:func:`build_proxy_digest`).
+
 Digests go stale between exchanges exactly like Summary Cache
 summaries: a claim may outlive the content (false hit — a wasted
 inter-proxy round trip) and fresh content is invisible until the next
@@ -28,13 +39,62 @@ charged to the separate ``antientropy_bytes`` counter.
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from repro.core.config import FederationConfig
-from repro.index.bloom import BloomFilter
+from repro.index.bloom import BloomFilter, key_positions
 
-__all__ = ["DigestDirectory", "build_proxy_digest"]
+__all__ = ["CountingSummary", "DigestDirectory", "build_proxy_digest"]
 
 
-def build_proxy_digest(sim, capacity: int, bits_per_doc: float) -> BloomFilter:
+class CountingSummary:
+    """One proxy's running digest: a counting Bloom filter.
+
+    ``members`` is the key set of the last update and ``counts[p]`` the
+    number of (member, hash) pairs landing on bit *p*, duplicates
+    included, so ``bits`` (the filter's words as little-endian bytes)
+    is exactly ``{p : counts[p] > 0}`` — the bits an OR-build of
+    ``members`` would set.
+    """
+
+    def __init__(self, capacity: int, bits_per_doc: float) -> None:
+        shape = BloomFilter.for_capacity(capacity, bits_per_doc)
+        self.n_bits = shape.n_bits
+        self.n_hashes = shape.n_hashes
+        self.bits = bytearray(shape.size_bytes)
+        self.counts = array("i", [0]) * self.n_bits
+        self.members: set[int] = set()
+
+    def update(self, members: set[int]) -> None:
+        """Move the summary to *members*, touching only the bits of the
+        keys that joined or left since the last update."""
+        added = members - self.members
+        removed = self.members - members
+        self.members = members
+        counts = self.counts
+        bits = self.bits
+        for p in key_positions(added, self.n_bits, self.n_hashes):
+            counts[p] += 1
+            bits[p >> 3] |= 1 << (p & 7)
+        for p in key_positions(removed, self.n_bits, self.n_hashes):
+            n = counts[p] - 1
+            counts[p] = n
+            if not n:
+                bits[p >> 3] &= ~(1 << (p & 7))
+
+    def snapshot(self, n_added: int) -> BloomFilter:
+        """A read-only copy of the current bits, as a shippable digest."""
+        digest = BloomFilter(self.n_bits, self.n_hashes)
+        digest._bits = np.frombuffer(bytes(self.bits), dtype="<u8")
+        digest.n_added = n_added
+        return digest
+
+
+def build_proxy_digest(
+    sim, capacity: int, bits_per_doc: float, summary: CountingSummary | None = None
+) -> BloomFilter:
     """Summarise everything *sim*'s proxy can currently serve.
 
     Covers the proxy cache and the browser index's claimed contents
@@ -42,13 +102,27 @@ def build_proxy_digest(sim, capacity: int, bits_per_doc: float) -> BloomFilter:
     for the bloom index it is the per-client claimed contents — the
     same knowledge the proxy itself trusts, so the digest is exactly as
     stale as the proxy's own view, never staler.
+
+    With *summary* (the proxy's :class:`CountingSummary`, sized for
+    the same *capacity* and *bits_per_doc*) the summary is brought up
+    to date and snapshotted; without one the digest is built from
+    scratch.  Both give the same bits, ``n_added`` and size.
     """
-    digest = BloomFilter.for_capacity(capacity, bits_per_doc)
-    if sim.proxy is not None:
-        digest.add_many(sim.proxy)
+    if summary is None:
+        digest = BloomFilter.for_capacity(capacity, bits_per_doc)
+        if sim.proxy is not None:
+            digest.add_many(sim.proxy)
+        if sim.index is not None:
+            digest.add_many(sim.index.claimed_docs())
+        return digest
+    members = set(sim.proxy) if sim.proxy is not None else set()
+    n_added = len(members)
     if sim.index is not None:
-        digest.add_many(sim.index.claimed_docs())
-    return digest
+        claimed = sim.index.claimed_docs()
+        n_added += len(claimed)
+        members.update(claimed)
+    summary.update(members)
+    return summary.snapshot(n_added)
 
 
 class DigestDirectory:
@@ -77,6 +151,15 @@ class DigestDirectory:
             [[None] * fed.n_proxies for _ in range(fed.n_proxies)]
             if partitioned
             else None
+        )
+        #: one running summary per proxy; only exchanges read them.
+        self.summaries: list[CountingSummary] = (
+            [
+                CountingSummary(capacity, fed.digest_bits_per_doc)
+                for _ in range(fed.n_proxies)
+            ]
+            if fed.n_proxies > 1 and not self.oracle
+            else []
         )
         self.exchanges = 0
         self.antientropy_refreshes = 0
@@ -114,7 +197,9 @@ class DigestDirectory:
         views = self.views
         split = schedule is not None and schedule.active
         for pid, sim in enumerate(sims):
-            digest = build_proxy_digest(sim, self.capacity, self.fed.digest_bits_per_doc)
+            digest = build_proxy_digest(
+                sim, self.capacity, self.fed.digest_bits_per_doc, self.summaries[pid]
+            )
             self.digests[pid] = digest
             if not split:
                 if views is not None:
@@ -156,7 +241,9 @@ class DigestDirectory:
         fanout = n - 1
         views = self.views
         for pid, sim in enumerate(sims):
-            digest = build_proxy_digest(sim, self.capacity, self.fed.digest_bits_per_doc)
+            digest = build_proxy_digest(
+                sim, self.capacity, self.fed.digest_bits_per_doc, self.summaries[pid]
+            )
             self.digests[pid] = digest
             if views is not None:
                 for viewer in range(n):

@@ -23,10 +23,14 @@ The per-request path for client *c* assigned to proxy *P*:
 
 Every proxy runs against the full trace with per-proxy state arrays —
 non-member clients simply never touch proxy *P*'s browsers or index, so
-*P*'s truth scans (``Simulator._truth_holds``) cover only its members —
-and all per-proxy engines share ONE :class:`SimulationResult`, so the
+*P*'s holder map (the truth behind ``Simulator._truth_holds``, kept
+current by its browser events) only ever lists its members — and all
+per-proxy engines share ONE :class:`SimulationResult`, so the
 engine-internal accounting helpers (failover waste, bus legs, recovery
-windows) charge the federation's single ledger directly.
+windows) charge the federation's single ledger directly.  Digests are
+kept current the same way: each proxy's counting summary
+(:class:`~repro.federation.digest.CountingSummary`) only rehashes the
+documents that changed since its last exchange.
 
 There is no federated loop: :meth:`FederatedSimulator.run` replays
 through the single-proxy engine's own loop,
@@ -134,10 +138,10 @@ class FederatedSimulator:
             for c in range(n_clients)
         ]
         if fed.n_proxies > 1:
-            # Only members ever fill a proxy's browser caches, so its
-            # truth scans (missed-hit and false-miss checks) skip the rest.
-            for pid, sim in enumerate(self.sims):
-                sim._shard = [c for c in range(n_clients) if self.owner[c] == pid]
+            # A peer's missed-hit check (_could_serve) asks its browsers'
+            # truth, so every proxy keeps its holder map.
+            for sim in self.sims:
+                sim._track_holders()
         self._needs_recovery = [
             sim._fault_schedule is not None or sim._checkpointer is not None
             for sim in self.sims

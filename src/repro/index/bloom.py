@@ -16,9 +16,13 @@ loads take the batch path, :meth:`BloomFilter.add_many` (and
 :func:`set_key_bits` on any word array): the same SplitMix64 mix over a
 ``uint64`` array, positions ``(h1 % m + i * (h2 % m)) % m`` — equal to
 the single-key ``(h1 + i * h2) % m`` — and one ``np.bitwise_or.at``,
-so the bits match repeated :meth:`BloomFilter.add` exactly.
-:func:`key_words` gives one key's bits as (word, mask) arrays for
-callers that test many same-shaped filters at once
+so the bits match repeated :meth:`BloomFilter.add` exactly.  A batch
+of fewer than ``_BATCH_MIN_KEYS`` keys is hashed key by key instead,
+where numpy's per-call overhead would dominate; the positions are the
+same.  :func:`key_positions` exposes those positions to callers that
+count them (the federation's counting digests).  :func:`key_words`
+gives one key's bits as (word, mask) arrays for callers that test many
+same-shaped filters at once
 (:class:`~repro.index.engine_bloom.BloomBrowserIndex`).
 """
 
@@ -28,7 +32,7 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["BloomFilter", "BloomIndex", "key_words", "set_key_bits"]
+__all__ = ["BloomFilter", "BloomIndex", "key_positions", "key_words", "set_key_bits"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -49,10 +53,17 @@ def _mix64_many(x: np.ndarray) -> np.ndarray:
 
 
 def _positions(key: int, n_bits: int, n_hashes: int):
+    """Position ``(h1 + i * h2) % n_bits`` for i in ``range(n_hashes)``,
+    stepped as ``(h1 % n_bits + i * (h2 % n_bits)) % n_bits`` so the
+    arithmetic stays on small ints."""
     h1 = _mix64(key)
-    h2 = _mix64(h1 ^ _GOLDEN) | 1
-    for i in range(n_hashes):
-        yield (h1 + i * h2) % n_bits
+    pos = h1 % n_bits
+    step = (_mix64(h1 ^ _GOLDEN) | 1) % n_bits
+    for _ in range(n_hashes):
+        yield pos
+        pos += step
+        if pos >= n_bits:
+            pos -= n_bits
 
 
 def key_words(key: int, n_bits: int, n_hashes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -66,19 +77,44 @@ def key_words(key: int, n_bits: int, n_hashes: int) -> tuple[np.ndarray, np.ndar
     return np.fromiter(acc, np.intp, n), np.fromiter(acc.values(), np.uint64, n)
 
 
-def set_key_bits(bits: np.ndarray, keys, n_bits: int, n_hashes: int) -> int:
-    """OR every key's bits into the word array *bits* in one batch;
-    returns the number of keys.  Keys are integers that fit in ``int64``."""
+def _batch_positions(keys, n_bits: int, n_hashes: int) -> np.ndarray:
+    """:func:`_positions` of every key, key by key, as one flat
+    ``uint64`` array.  Keys are integers that fit in ``int64``."""
     h1 = _mix64_many(np.fromiter(keys, np.int64).view(np.uint64))
-    if not h1.size:
-        return 0
     h2 = _mix64_many(h1 ^ np.uint64(_GOLDEN)) | np.uint64(1)
     m = np.uint64(n_bits)
     steps = np.arange(n_hashes, dtype=np.uint64)
-    pos = ((h1 % m)[:, None] + steps * (h2 % m)[:, None]) % m
-    pos = pos.ravel()
+    return (((h1 % m)[:, None] + steps * (h2 % m)[:, None]) % m).ravel()
+
+
+#: below this many keys, hashing one key at a time beats numpy's
+#: per-call overhead.
+_BATCH_MIN_KEYS = 16
+
+
+def key_positions(keys, n_bits: int, n_hashes: int) -> list[int]:
+    """Every key's *n_hashes* bit positions, key by key, as one list (a
+    key's repeated positions included).  *keys* is a sized collection
+    of integers that fit in ``int64``."""
+    if len(keys) < _BATCH_MIN_KEYS:
+        return [p for key in keys for p in _positions(key, n_bits, n_hashes)]
+    return _batch_positions(keys, n_bits, n_hashes).tolist()
+
+
+def set_key_bits(bits: np.ndarray, keys, n_bits: int, n_hashes: int) -> int:
+    """OR every key's bits into the word array *bits* in one batch;
+    returns the number of keys.  *keys* is a sized collection of
+    integers that fit in ``int64``; a small one is gathered into one
+    Python int and ORed in as little-endian words."""
+    if len(keys) < _BATCH_MIN_KEYS:
+        acc = 0
+        for pos in key_positions(keys, n_bits, n_hashes):
+            acc |= 1 << pos
+        bits |= np.frombuffer(acc.to_bytes(bits.nbytes, "little"), dtype="<u8")
+        return len(keys)
+    pos = _batch_positions(keys, n_bits, n_hashes)
     np.bitwise_or.at(bits, (pos >> 6).astype(np.intp), np.uint64(1) << (pos & 63))
-    return h1.size
+    return pos.size // n_hashes
 
 
 class BloomFilter:

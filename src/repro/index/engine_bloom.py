@@ -23,9 +23,18 @@ re-announcement refills one row in a single batch
 (:func:`~repro.index.bloom.set_key_bits`); a snapshot is a copy of the
 matrix.  ``n_entries`` is a running count and ``footprint_bytes()`` the
 matrix size, so both are O(1).
+
+The claimed contents behind the filters are also kept per document: a
+``doc -> number of clients claiming it`` map, updated by every insert,
+evict and re-announcement and rebuilt on restore.  So
+:meth:`BloomBrowserIndex.claimed_docs` (what an inter-proxy digest
+summarises) is its key view and :meth:`BloomBrowserIndex.claims_doc`
+is one dict probe, with no walk over the clients.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -77,6 +86,8 @@ class BloomBrowserIndex:
         ]
         #: running total of ``len(c) for c in self._contents``.
         self._n_entries = 0
+        #: doc -> number of clients whose ``_contents`` hold it.
+        self._claims: Counter[int] = Counter()
         self._changes_since_rebuild = [0] * n_clients
         self._rr = 0
         #: lookups where the ``banned`` filter removed at least one
@@ -113,6 +124,7 @@ class BloomBrowserIndex:
         contents = self._contents[client]
         if doc not in contents:
             self._n_entries += 1
+            self._claims[doc] += 1
         contents[doc] = (version, size)
         words, masks = key_words(doc, self._n_bits, self._n_hashes)
         self._bits[client, words] |= masks
@@ -126,8 +138,17 @@ class BloomBrowserIndex:
         self.n_evict_events += 1
         if self._contents[client].pop(doc, None) is not None:
             self._n_entries -= 1
+            self._unclaim(doc)
         # the filter cannot forget: this is the staleness source
         self._bump(client, now)
+
+    def _unclaim(self, doc: int) -> None:
+        claims = self._claims
+        n = claims[doc] - 1
+        if n:
+            claims[doc] = n
+        else:
+            del claims[doc]
 
     def _bump(self, client: int, now: float) -> None:
         self._changes_since_rebuild[client] += 1
@@ -168,6 +189,9 @@ class BloomBrowserIndex:
         self._bits = payload["bits"].copy()
         self._contents = [dict(c) for c in payload["contents"]]
         self._n_entries = sum(len(c) for c in self._contents)
+        self._claims = Counter()
+        for contents in self._contents:
+            self._claims.update(contents.keys())
         self._changes_since_rebuild = list(payload["changes"])
         self._restored_clients = set(range(self.n_clients))
 
@@ -183,7 +207,11 @@ class BloomBrowserIndex:
         triples from the true cache.  Returns the announced item count.
         """
         contents = {doc: (version, size) for doc, version, size in items}
-        self._n_entries += len(contents) - len(self._contents[client])
+        old = self._contents[client]
+        self._n_entries += len(contents) - len(old)
+        for doc in old:
+            self._unclaim(doc)
+        self._claims.update(contents.keys())
         self._contents[client] = contents
         self._refill(client)
         self._changes_since_rebuild[client] = 0
@@ -258,19 +286,17 @@ class BloomBrowserIndex:
     def claimed_docs(self):
         """Every document some client's summary claims to hold — the
         proxy-side knowledge an inter-proxy digest can summarise
-        (:mod:`repro.federation.digest`).  Deduplicated across clients.
+        (:mod:`repro.federation.digest`).  Deduplicated across clients:
+        a live key view of the claim counts.
         """
-        seen: set[int] = set()
-        for contents in self._contents:
-            seen.update(contents)
-        return seen
+        return self._claims.keys()
 
     def claims_doc(self, doc: int) -> bool:
         """Whether any client's claimed contents include *doc* — the
-        point query behind the federation's fresh-digest (oracle)
+        O(1) point query behind the federation's fresh-digest (oracle)
         anchor.  Uses the claimed contents, not the filters, matching
         what :meth:`claimed_docs` feeds a freshly built digest."""
-        return any(doc in contents for contents in self._contents)
+        return doc in self._claims
 
     # -- accounting ----------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.index import BloomFilter, BloomIndex
+from repro.index.bloom import _GOLDEN, _mix64, key_positions
 from repro.index.signatures import IndexSpaceModel
 
 
@@ -99,6 +100,23 @@ def test_add_many_matches_repeated_add(n_bits, n_hashes, keys, n_dups):
     batched.add_many(keys)
     assert batched._bits.tolist() == one_by_one._bits.tolist()
     assert batched.n_added == one_by_one.n_added == len(keys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_bits=st.integers(1, 3000),
+    n_hashes=st.integers(1, 16),
+    keys=st.lists(st.integers(0, 2**40), max_size=40),
+)
+def test_key_positions_follow_double_hashing(n_bits, n_hashes, keys):
+    """``key_positions`` (one key at a time for small batches, vectorised
+    for large ones) lists ``(h1 + i * h2) % n_bits`` key by key."""
+    want = []
+    for key in keys:
+        h1 = _mix64(key)
+        h2 = _mix64(h1 ^ _GOLDEN) | 1
+        want.extend((h1 + i * h2) % n_bits for i in range(n_hashes))
+    assert key_positions(keys, n_bits, n_hashes) == want
 
 
 def test_validation():

@@ -255,7 +255,9 @@ def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, thresho
     """Random insert/evict/rebuild/reannounce/export/restore sequences
     leave the bit-matrix index answering exactly like one filter per
     client: holders, the round-robin lookup pick, failover candidates,
-    the entry count and the footprint.  Small filters (sizes that are
+    the entry count and the footprint.  The running claim counts agree
+    with the per-client contents: ``claimed_docs()`` is their union and
+    ``claims_doc`` tests membership in it.  Small filters (sizes that are
     not a multiple of 64 bits) make collisions — false positives the
     two layouts must agree on — common."""
     index = BloomBrowserIndex(
@@ -295,6 +297,8 @@ def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, thresho
             hit = index.lookup(doc, exclude, now, banned=banned or None)
             want = model.lookup(doc, exclude, banned)
             assert (hit.client if hit is not None else None) == want
+        claimed = set().union(*model.contents)
+        assert set(index.claimed_docs()) == claimed
         for doc in range(41):
             holders = model.holders_of(doc)
             assert index.holders_of(doc) == holders
@@ -302,5 +306,6 @@ def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, thresho
             assert index.candidate_holders(doc, exclude, now) == [
                 c for c in holders if c != exclude
             ]
+            assert index.claims_doc(doc) == (doc in claimed)
         assert index.n_entries == model.n_entries()
         assert index.footprint_bytes() == model.footprint_bytes()

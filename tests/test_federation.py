@@ -12,8 +12,10 @@ anchors.
 import dataclasses
 import hashlib
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.consistency.policies import (
     AdaptiveTTLPolicy,
@@ -35,6 +37,7 @@ from repro.core.simulator import Simulator, bloom_expected_docs
 from repro.index import PeriodicUpdatePolicy
 from repro.index.checkpoint import CheckpointPolicy
 from repro.experiments import federation as federation_experiment
+from repro.federation import digest as digest_module
 from repro.federation import (
     DigestDirectory,
     FederatedSimulator,
@@ -44,6 +47,7 @@ from repro.federation import (
 from repro.hierarchy.config import assign_proxy
 from repro.traces.profiles import small_paper_trace
 from repro.traces.record import Trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 from tests.conftest import assert_result_roundtrips
 
 ORG = Organization.BROWSERS_AWARE_PROXY
@@ -249,6 +253,74 @@ def test_oracle_digest_period_charges_no_exchange_bytes():
     assert result.digest_missed_hits == 0
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n_proxies=st.integers(2, 4),
+    index_knobs=st.sampled_from([
+        {},
+        {"index_kind": "bloom"},
+        {"index_update_policy": PeriodicUpdatePolicy(threshold=1.0, min_docs=20)},
+    ]),
+    crash_frac=st.floats(0.1, 0.8),
+    window_start=st.floats(0.1, 0.5),
+    window_len=st.floats(0.1, 0.3),
+    period_divisor=st.sampled_from([20, 40]),
+    trace_seed=st.integers(0, 3),
+)
+def test_counting_digests_match_from_scratch_builds(
+    n_proxies, index_knobs, crash_frac, window_start, window_len,
+    period_divisor, trace_seed,
+):
+    """Every digest a proxy ships — periodic exchange or post-heal
+    anti-entropy, across a proxy crash that empties its proxy cache —
+    has the bits, ``n_added`` and size of a from-scratch build at the
+    same instant, and a digest already held in a (partitioned) view
+    never changes afterwards."""
+    trace = generate_trace(
+        SyntheticTraceConfig(n_requests=1_500, n_clients=12, name="digests"),
+        seed=trace_seed,
+    )
+    span = trace.duration
+    window = (window_start * span, (window_start + window_len) * span)
+    config = SimulationConfig.relative(
+        trace, 0.10, browser_sizing="minimum"
+    ).with_(
+        max_holder_retries=1,
+        proxy_faults=ProxyFaultModel(crash_times=(crash_frac * span,)),
+        reannounce_rate=0.05,
+        federation=FederationConfig(
+            n_proxies=n_proxies,
+            digest_period=span / period_divisor,
+            link_faults=LinkFaultModel(partition_windows=(window,)),
+        ),
+        **index_knobs,
+    )
+    engine = FederatedSimulator(trace, ORG, config)
+    build = digest_module.build_proxy_digest
+    shipped = []
+
+    def checked_build(sim, capacity, bits_per_doc, summary=None):
+        assert summary is not None
+        digest = build(sim, capacity, bits_per_doc, summary)
+        scratch = build(sim, capacity, bits_per_doc)
+        assert digest._bits.tolist() == scratch._bits.tolist()
+        assert digest.n_added == scratch.n_added
+        assert digest.size_bytes == scratch.size_bytes
+        shipped.append((digest, digest._bits.tolist()))
+        return digest
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(digest_module, "build_proxy_digest", checked_build)
+        result = engine.run()
+    directory = engine.directory
+    assert directory.antientropy_refreshes >= 1
+    assert result.digest_exchanges_lost > 0 and result.proxy_crashes > 0
+    for digest, bits in shipped:
+        assert digest._bits.tolist() == bits
+    held = {id(d) for row in directory.views for d in row if d is not None}
+    assert held <= {id(d) for d, _ in shipped}
+
+
 # -- the cross-proxy request path ---------------------------------------------
 
 
@@ -426,7 +498,16 @@ def test_bloom_expected_docs_fallback_paths():
     assert bloom_expected_docs(trace, [1000], 0) == max(8, 1000 // 100)
 
 
-# -- shard-scoped truth scans ---------------------------------------------------
+# -- the holder map behind truth queries ----------------------------------------
+
+
+def browser_walk(sim):
+    """doc -> {client: version}, walked from every browser cache."""
+    holders = {}
+    for c, cache in enumerate(sim.browsers):
+        for doc in cache:
+            holders.setdefault(doc, {})[c] = cache.peek(doc).version
+    return holders
 
 
 @pytest.mark.parametrize(
@@ -437,13 +518,13 @@ def test_bloom_expected_docs_fallback_paths():
     ],
     ids=["bloom", "periodic"],
 )
-def test_truth_scan_scoped_to_members_matches_full_scan(small_trace, index_knobs):
-    """A per-proxy engine's truth scan (missed-hit, false-miss and
-    lost-to-recovery checks) covers only its member clients.  That is
-    sound because a non-member's browser cache at a proxy is never
-    written: check the property after a run with churn, failover and
-    a proxy crash, and check the scoped run against one that scans
-    every client."""
+def test_holder_map_matches_browser_caches(small_trace, index_knobs):
+    """A per-proxy engine answers truth queries (missed-hit, false-miss
+    and lost-to-recovery checks) from its holder map, which only its
+    member clients ever enter, because a non-member's browser cache at
+    a proxy is never written.  After a run with churn, failover and a
+    proxy crash, every proxy's map equals a walk of its browser
+    caches."""
     config = SimulationConfig.relative(
         small_trace, 0.10, browser_sizing="minimum"
     ).with_(
@@ -454,29 +535,19 @@ def test_truth_scan_scoped_to_members_matches_full_scan(small_trace, index_knobs
         federation=FederationConfig(n_proxies=4, digest_period=600.0),
         **index_knobs,
     )
-    scoped = FederatedSimulator(small_trace, ORG, config)
-    scoped_result = scoped.run()
-    for pid, sim in enumerate(scoped.sims):
-        # the scoped run really is scoped (else the comparison is vacuous)
-        assert sim._shard == [c for c, p in enumerate(scoped.owner) if p == pid]
+    engine = FederatedSimulator(small_trace, ORG, config)
+    result = engine.run()
+    for pid, sim in enumerate(engine.sims):
         for c, cache in enumerate(sim.browsers):
-            if scoped.owner[c] != pid:
+            if engine.owner[c] != pid:
                 assert len(cache) == 0, (pid, c)
-
-    full = FederatedSimulator(small_trace, ORG, config)
-    for sim in full.sims:
-        sim._shard = None
-    full_result = full.run()
-    assert scoped_result.digest_missed_hits > 0
-    assert scoped_result.hits_lost_to_recovery > 0
+        assert sim._holders, pid  # (else the comparison is vacuous)
+        assert sim._holders == browser_walk(sim), pid
+    assert result.proxy_crashes > 0
+    assert result.digest_missed_hits > 0
+    assert result.hits_lost_to_recovery > 0
     if "index_update_policy" in index_knobs:
-        assert scoped_result.index_stats.false_misses > 0
-    assert scoped_result.digest_missed_hits == full_result.digest_missed_hits
-    assert (
-        scoped_result.index_stats.false_misses
-        == full_result.index_stats.false_misses
-    )
-    assert dataclasses.asdict(scoped_result) == dataclasses.asdict(full_result)
+        assert result.index_stats.false_misses > 0
 
 
 # -- journal round-trip --------------------------------------------------------

@@ -115,6 +115,23 @@ def test_profiled_federated_run_is_sampled_and_identical(small_trace):
     assert profile.total_phase_seconds > 0.0
 
 
+def test_profiled_stream_run_is_identical(small_trace):
+    """``simulate_stream`` takes a profile too: the flat backend runs the
+    same loop, so a profiled run equals the plain one field for field
+    and reports the loop's exact event counts."""
+    config = SimulationConfig.relative(small_trace, proxy_frac=0.10)
+    plain = dataclasses.asdict(simulate_stream(small_trace, BAPS, config))
+    profile = ReplayProfile()
+    profiled = dataclasses.asdict(
+        simulate_stream(small_trace, BAPS, config, profile=profile)
+    )
+    assert profiled == plain
+    counts = profile.phase_counts
+    assert counts["browser_probe"] == len(small_trace)
+    assert counts["origin_fetch"] == plain["by_location"][HitLocation.ORIGIN]["misses"] > 0
+    assert profile.n_requests == len(small_trace)
+
+
 # -- exact counts, sampled seconds ------------------------------------------
 
 

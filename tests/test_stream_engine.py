@@ -34,7 +34,10 @@ from repro.core import (
     simulate,
     simulate_stream,
 )
-from repro.core.stream_engine import check_stream_config
+from repro.cache import FlatBrowsers, LRUCache
+from repro.core.simulator import Simulator
+from repro.core.stream_engine import StreamSimulator, check_stream_config
+from repro.federation import FederatedSimulator
 from repro.index.staleness import PeriodicUpdatePolicy
 from repro.network.ethernet import EthernetModel
 from repro.network.latency import MemoryDiskModel
@@ -274,6 +277,58 @@ def test_flat_state_no_per_client_objects():
         f"flat replay peaked at {flat_peak:,} B, object engine at "
         f"{object_peak:,} B — expected < half"
     )
+
+
+def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
+    """Truth queries (missed-hit, false-miss and lost-to-recovery
+    checks) answer from the engine's holder map: on a stream + bloom
+    cell the map equals a walk of the slot pool, and a query makes no
+    ``FlatBrowsers.peek``/``LRUCache.peek`` call.  Cells where no truth
+    query can be asked (exact index, no crash recovery, no federation of
+    several proxies) allocate no map."""
+    trace = small_trace()
+    base = SimulationConfig.relative(trace, 0.10, browser_sizing="minimum")
+    baps = Organization.BROWSERS_AWARE_PROXY
+    sim = StreamSimulator(trace, baps, base.with_(index_kind="bloom"))
+    sim.run()
+    flat = sim.flat
+    walked = {}
+    for c in range(len(flat.caps)):
+        slot = flat.head[c]
+        while slot >= 0:
+            walked.setdefault(flat.e_doc[slot], {})[c] = flat.e_ver[slot]
+            slot = flat.e_next[slot]
+    assert walked and sim._holders == walked
+
+    peeks = []
+    monkeypatch.setattr(FlatBrowsers, "peek", lambda *a: peeks.append(a) or -1)
+    monkeypatch.setattr(LRUCache, "peek", lambda *a: peeks.append(a))
+    for doc, held in walked.items():
+        for v in {*held.values(), max(held.values()) + 1}:
+            for exclude in (-1, *held):
+                want = any(c != exclude and w == v for c, w in held.items())
+                assert sim._truth_holds(doc, v, exclude) == want
+    assert not sim._truth_holds(max(walked) + 1, 0, -1)
+    assert peeks == []
+    monkeypatch.undo()
+
+    checkpoint_only = base.with_(checkpoint=CheckpointPolicy(interval=60.0))
+    for engine in (Simulator, StreamSimulator):
+        for config in (base, checkpoint_only):
+            quiet = engine(trace, baps, config)
+            quiet.run()
+            assert quiet._holders is None
+        for knobs in (
+            {"index_kind": "bloom"},
+            {"index_update_policy": PeriodicUpdatePolicy(threshold=1.0, min_docs=20)},
+            {"proxy_faults": ProxyFaultModel(crash_times=(trace.duration / 2,))},
+        ):
+            assert engine(trace, baps, base.with_(**knobs))._holders == {}
+    for n_proxies in (1, 2):
+        federated = FederatedSimulator(
+            trace, baps, base.with_(federation=FederationConfig(n_proxies=n_proxies))
+        )
+        assert [s._holders is None for s in federated.sims] == [n_proxies == 1] * n_proxies
 
 
 # -- knob support matrix -------------------------------------------------------

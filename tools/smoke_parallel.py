@@ -60,7 +60,9 @@ catches it.
 With ``--stream`` every cell is additionally replayed over the flat
 client-state backend (:func:`repro.core.simulate_stream`) with the
 same knobs the serial run used, and must be bit-identical to the
-serial run; the process's peak RSS must also stay under
+serial run; every index-carrying cell (BAPS, global-browsers) is also
+replayed with ``index_kind="bloom"`` through both backends, which must
+agree bit for bit; the process's peak RSS must also stay under
 ``--stream-rss-ceiling-mb``.  Incompatible with the federated grids
 (``--federation``, ``--chaos``): the flat backend is single-proxy.
 
@@ -505,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
               "the journal bit-identically")
 
     if args.stream:
-        from repro.core import simulate_stream
+        from repro.core import simulate, simulate_stream
         from repro.util.memory import peak_rss_bytes
 
         # rebuild the serial run's cells, so each replay gets the same
@@ -522,22 +524,36 @@ def main(argv: list[str] | None = None) -> int:
             ),
         )
         stream_diverged = []
+        n_bloom = 0
         for cell in cells:
             ref = serial.results[(cell.organization, cell.fraction)]
             got = simulate_stream(trace, cell.organization, cell.config)
             if dataclasses.asdict(got) != dataclasses.asdict(ref):
-                stream_diverged.append((cell.organization, cell.fraction))
+                stream_diverged.append((cell.organization, cell.fraction, ""))
+            if cell.organization.features.has_index:
+                # the same cell over the bloom index, through both
+                # backends: stale lookups exercise the truth queries
+                n_bloom += 1
+                bloom = cell.config.with_(index_kind="bloom")
+                ref = simulate(trace, cell.organization, bloom)
+                got = simulate_stream(trace, cell.organization, bloom)
+                if dataclasses.asdict(got) != dataclasses.asdict(ref):
+                    stream_diverged.append(
+                        (cell.organization, cell.fraction, " bloom")
+                    )
         rss = peak_rss_bytes()
         ceiling = args.stream_rss_ceiling_mb * 1024 * 1024
         print()
         print(f"stream engine: {len(serial.results)} cells replayed "
-              f"flat-state, process peak RSS {rss / (1024 * 1024):.0f} MB "
+              f"flat-state, plus {n_bloom} index cells over the bloom index "
+              f"through both backends, process peak RSS "
+              f"{rss / (1024 * 1024):.0f} MB "
               f"(ceiling {args.stream_rss_ceiling_mb} MB)")
         if stream_diverged:
             print(f"FAIL: {len(stream_diverged)} streamed cells diverged "
-                  "from the serial run:")
-            for org, frac in stream_diverged:
-                print(f"  ({org.value}, {frac:g})")
+                  "from the object-cache run:")
+            for org, frac, index in stream_diverged:
+                print(f"  ({org.value}, {frac:g}){index}")
             return 1
         if rss > ceiling:
             print("FAIL: peak RSS exceeds the --stream ceiling")
