@@ -15,10 +15,12 @@ trip for false hits, exactly as with the periodic exact index.
 
 Layout: the per-client filters are the rows of one ``(n_clients,
 words)`` ``uint64`` bit matrix, each row shaped like
-:meth:`BloomBrowserIndex._new_filter`.  A lookup hashes the document
-once (:func:`~repro.index.bloom.key_words`) and tests every client with
-one column gather, so claimants come out in ascending client order; an
-insert ORs the document's bits into one row; a rebuild or
+:meth:`BloomBrowserIndex._new_filter`.  A lookup takes the document's
+(word, mask) pairs from the shared hash memo
+(:func:`~repro.index.bloom.key_words`, hashed once per filter shape)
+and tests every client with one column gather and one
+``np.logical_and.reduce``, so claimants come out in ascending client
+order; an insert ORs the same pairs into one row; a rebuild or
 re-announcement refills one row in a single batch
 (:func:`~repro.index.bloom.set_key_bits`); a snapshot is a copy of the
 matrix.  ``n_entries`` is a running count and ``footprint_bytes()`` the
@@ -263,7 +265,9 @@ class BloomBrowserIndex:
         """Clients whose summary claims *doc* (may be false positives),
         ascending."""
         words, masks = key_words(doc, self._n_bits, self._n_hashes)
-        claimed = ((self._bits[:, words] & masks) == masks).all(axis=1)
+        claimed = np.logical_and.reduce(
+            (self._bits[:, words] & masks) == masks, axis=1
+        )
         return np.flatnonzero(claimed).tolist()
 
     def candidate_holders(

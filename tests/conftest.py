@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,44 @@ from repro.traces.record import Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
 import numpy as np
+
+
+def example_budget(n: int) -> int:
+    """Hypothesis examples for a test that runs *n* by default: at least
+    200 under ``HYPOTHESIS_PROFILE=ci-nightly``, the nightly deep run's
+    budget (the ``ci-nightly`` profile of ``tests/test_differential.py``)."""
+    if os.environ.get("HYPOTHESIS_PROFILE") == "ci-nightly":
+        return max(n, 200)
+    return n
+
+
+# -- bloom reference, written apart from repro.index.bloom -------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def bloom_positions(key: int, n_bits: int, n_hashes: int) -> list[int]:
+    """A key's bloom bit positions in closed form, ``(h1 + i * h2) %
+    n_bits`` with SplitMix64 ``h1`` and ``h2 = mix(h1 ^ golden) | 1``."""
+    h1 = _splitmix64(key)
+    h2 = _splitmix64(h1 ^ 0x9E3779B97F4A7C15) | 1
+    return [(h1 + i * h2) % n_bits for i in range(n_hashes)]
+
+
+def bloom_claims(words, key: int, n_bits: int, n_hashes: int) -> bool:
+    """Bit-level membership: every position's bit is set in the word
+    sequence *words* (bit *p* is bit ``p & 63`` of word ``p >> 6``)."""
+    return all(
+        (int(words[p >> 6]) >> (p & 63)) & 1
+        for p in bloom_positions(key, n_bits, n_hashes)
+    )
 
 
 def assert_result_roundtrips(result):

@@ -1,12 +1,25 @@
 """Bloom filter and BloomIndex tests."""
 
+import copy
+import pickle
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from repro.federation.digest import CountingSummary
 from repro.index import BloomFilter, BloomIndex
-from repro.index.bloom import _GOLDEN, _mix64, key_positions
+from repro.index.bloom import (
+    _MEMO_KEYS,
+    _batch_positions,
+    _key_bits,
+    _memo,
+    key_positions,
+    key_words,
+)
 from repro.index.signatures import IndexSpaceModel
+from tests.conftest import bloom_claims, bloom_positions, example_budget
 
 
 def test_added_keys_always_found():
@@ -70,7 +83,7 @@ def test_fill_fraction_monotone():
         prev = cur
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=example_budget(40), deadline=None)
 @given(keys=st.sets(st.integers(0, 2**62), max_size=200))
 def test_no_false_negatives_property(keys):
     f = BloomFilter.for_capacity(max(len(keys), 1))
@@ -79,7 +92,7 @@ def test_no_false_negatives_property(keys):
     assert all(k in f for k in keys)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=example_budget(60), deadline=None)
 @given(
     n_bits=st.integers(1, 3000),
     n_hashes=st.integers(1, 16),
@@ -102,21 +115,119 @@ def test_add_many_matches_repeated_add(n_bits, n_hashes, keys, n_dups):
     assert batched.n_added == one_by_one.n_added == len(keys)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=example_budget(80), deadline=None)
 @given(
-    n_bits=st.integers(1, 3000),
+    n_bits=st.one_of(st.integers(1, 70), st.integers(1, 3000)),
     n_hashes=st.integers(1, 16),
-    keys=st.lists(st.integers(0, 2**40), max_size=40),
+    keys=st.lists(st.integers(0, 2**62), max_size=40),
 )
+@example(n_bits=1, n_hashes=1, keys=[0, 2**62])
+@example(n_bits=4093, n_hashes=5, keys=list(range(7, 7 + _MEMO_KEYS + 250)))
 def test_key_positions_follow_double_hashing(n_bits, n_hashes, keys):
-    """``key_positions`` (one key at a time for small batches, vectorised
-    for large ones) lists ``(h1 + i * h2) % n_bits`` key by key."""
-    want = []
-    for key in keys:
-        h1 = _mix64(key)
-        h2 = _mix64(h1 ^ _GOLDEN) | 1
-        want.extend((h1 + i * h2) % n_bits for i in range(n_hashes))
-    assert key_positions(keys, n_bits, n_hashes) == want
+    """Every hashing path lists ``(h1 + i * h2) % n_bits`` key by key,
+    as computed here without the memo: ``key_positions`` (one key at a
+    time for small batches, vectorised for large ones),
+    ``_batch_positions``, and a key's memoised positions and
+    ``key_words``, both when first hashed and when served from the
+    memo.  A batch of more distinct keys than the memo holds checks
+    keys recomputed after eviction, and the memo stays bounded.  The
+    memoised arrays are shared, so they must refuse writes."""
+    want = [bloom_positions(key, n_bits, n_hashes) for key in keys]
+    flat = [p for positions in want for p in positions]
+    assert key_positions(keys, n_bits, n_hashes) == flat
+    assert _batch_positions(keys, n_bits, n_hashes).tolist() == flat
+    def masks_by_word(positions):
+        acc = {}
+        for p in positions:
+            acc[p >> 6] = acc.get(p >> 6, 0) | 1 << (p & 63)
+        return sorted(acc.items())
+
+    for key, positions in zip(keys, want):
+        _memo.pop((key, n_bits, n_hashes), None)
+        for _ in range(2):  # first hashed, then memoised
+            words, masks = key_words(key, n_bits, n_hashes)
+            assert list(_key_bits(key, n_bits, n_hashes)[0]) == positions
+            assert len(set(words.tolist())) == len(words)
+            assert sorted(zip(words.tolist(), masks.tolist())) == masks_by_word(
+                positions
+            )
+        with pytest.raises(ValueError):
+            words[0] = 0
+        with pytest.raises(ValueError):
+            masks[0] = 0
+    assert len(_memo) <= _MEMO_KEYS
+    if len(set(keys)) > _MEMO_KEYS:
+        assert (keys[0], n_bits, n_hashes) not in _memo
+    for key, positions in zip(keys, want):
+        assert list(_key_bits(key, n_bits, n_hashes)[0]) == positions
+        words, masks = key_words(key, n_bits, n_hashes)
+        assert sorted(zip(words.tolist(), masks.tolist())) == masks_by_word(positions)
+
+
+@settings(max_examples=example_budget(60), deadline=None)
+@given(
+    n_bits=st.integers(1, 400),
+    n_hashes=st.integers(1, 8),
+    keys=st.lists(st.integers(0, 2**62), max_size=30),
+    others=st.lists(st.integers(0, 2**62), max_size=30),
+    summary_shape=st.tuples(st.integers(1, 40), st.sampled_from([1.0, 3.0, 8.0])),
+    data=st.data(),
+)
+def test_membership_matches_bit_level_reference(
+    n_bits, n_hashes, keys, others, summary_shape, data
+):
+    """``in`` answers exactly like a bit test over the closed-form
+    positions and the filter's words — after ``add``, ``add_many``,
+    ``clear``, ``copy``, ``union``, a pickle round trip, on a counting
+    summary's read-only snapshot, and after ``_bits`` is replaced
+    wholesale.  Small filters make false positives common, so both
+    answers are exercised."""
+    probes = keys + others + list(range(40))
+
+    def agrees(f):
+        assert [k in f for k in probes] == [
+            bloom_claims(f._bits, k, f.n_bits, f.n_hashes) for k in probes
+        ]
+
+    half = len(keys) // 2
+    a = BloomFilter(n_bits, n_hashes)
+    agrees(a)
+    for k in keys[:half]:
+        a.add(k)
+    agrees(a)
+    b = BloomFilter(n_bits, n_hashes)
+    b.add_many(keys[half:] + others)
+    agrees(b)
+    union = a.union(b)
+    agrees(union)
+    kept = a.copy()
+    a.clear()
+    agrees(a)
+    agrees(kept)
+    a.add_many(others)
+    agrees(a)
+    agrees(pickle.loads(pickle.dumps(union)))
+    agrees(copy.deepcopy(kept))
+
+    summary = CountingSummary(*summary_shape)
+    summary.update(set(keys))
+    first = summary.snapshot(len(keys))
+    first_words = first._bits.tolist()
+    assert not first._bits.flags.writeable
+    agrees(first)
+    summary.update(set(others))
+    agrees(summary.snapshot(len(others)))
+    assert first._bits.tolist() == first_words
+    agrees(first)
+
+    n_words = (n_bits + 63) // 64
+    words = data.draw(
+        st.lists(st.integers(0, 2**64 - 1), min_size=n_words, max_size=n_words)
+    )
+    b._bits = np.array(words, dtype=np.uint64)
+    agrees(b)
+    b._bits = np.frombuffer(np.array(words[::-1], dtype="<u8").tobytes(), dtype="<u8")
+    agrees(b)
 
 
 def test_validation():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from repro.core import Organization, SimulationConfig, simulate
 from repro.index.bloom import BloomFilter
 from repro.index.engine_bloom import BloomBrowserIndex
+from tests.conftest import bloom_claims, bloom_positions, example_budget
 
 
 def make_index(n=4, **kw):
@@ -152,23 +153,33 @@ def test_bloom_sizing_unchanged_for_uniform_capacity(small_trace):
 
 
 class ListOfFiltersModel:
-    """The Summary Cache discipline written the plain way: one
-    :class:`BloomFilter` per client, filled key by key and scanned
-    client by client.  Only the single-key hash positions are shared
-    with the bit-matrix index; its word masks, column gather, batch
-    refill and running counts are not."""
+    """The Summary Cache discipline written the plain way: one word list
+    per client, filled key by key from the closed-form positions and
+    tested bit by bit (:func:`tests.conftest.bloom_claims`).  Only the
+    filter shape comes from :class:`BloomFilter`; the index's hashing,
+    word masks, column gather, batch refill and running counts are not
+    shared, so a membership bug cannot pass on both sides."""
 
     def __init__(self, n_clients, expected, bits_per_doc, threshold):
-        self.new_filter = lambda: BloomFilter.for_capacity(expected, bits_per_doc)
+        shape = BloomFilter.for_capacity(expected, bits_per_doc)
+        self.n_bits, self.n_hashes = shape.n_bits, shape.n_hashes
+        self.n_words = (self.n_bits + 63) // 64
         self.filters = [self.new_filter() for _ in range(n_clients)]
         self.contents = [{} for _ in range(n_clients)]
         self.changes = [0] * n_clients
         self.threshold = threshold
         self.rr = 0
 
+    def new_filter(self):
+        return [0] * self.n_words
+
+    def add(self, words, doc):
+        for p in bloom_positions(doc, self.n_bits, self.n_hashes):
+            words[p >> 6] |= 1 << (p & 63)
+
     def insert(self, client, doc, version, replace):
         self.contents[client][doc] = (version, 100)
-        self.filters[client].add(doc)
+        self.add(self.filters[client], doc)
         if not replace:
             self.bump(client)
 
@@ -183,10 +194,10 @@ class ListOfFiltersModel:
             self.rebuild(client)
 
     def rebuild(self, client):
-        f = self.new_filter()
+        words = self.new_filter()
         for doc in self.contents[client]:
-            f.add(doc)
-        self.filters[client] = f
+            self.add(words, doc)
+        self.filters[client] = words
         self.changes[client] = 0
 
     def reannounce(self, client, docs):
@@ -195,19 +206,23 @@ class ListOfFiltersModel:
 
     def export(self):
         return (
-            [f.copy() for f in self.filters],
+            [list(f) for f in self.filters],
             [dict(c) for c in self.contents],
             list(self.changes),
         )
 
     def restore(self, snap):
         filters, contents, changes = snap
-        self.filters = [f.copy() for f in filters]
+        self.filters = [list(f) for f in filters]
         self.contents = [dict(c) for c in contents]
         self.changes = list(changes)
 
     def holders_of(self, doc):
-        return [c for c, f in enumerate(self.filters) if doc in f]
+        return [
+            c
+            for c, words in enumerate(self.filters)
+            if bloom_claims(words, doc, self.n_bits, self.n_hashes)
+        ]
 
     def lookup(self, doc, exclude, banned):
         cands = [c for c in self.holders_of(doc) if c != exclude]
@@ -222,7 +237,7 @@ class ListOfFiltersModel:
         return sum(len(c) for c in self.contents)
 
     def footprint_bytes(self):
-        return sum(f.size_bytes for f in self.filters)
+        return 8 * self.n_words * len(self.filters)
 
 
 N_MODEL_CLIENTS = 5
@@ -244,7 +259,7 @@ _ops = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=example_budget(60), deadline=None)
 @given(
     ops=_ops,
     expected=st.integers(1, 24),
@@ -253,13 +268,14 @@ _ops = st.lists(
 )
 def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, threshold):
     """Random insert/evict/rebuild/reannounce/export/restore sequences
-    leave the bit-matrix index answering exactly like one filter per
-    client: holders, the round-robin lookup pick, failover candidates,
-    the entry count and the footprint.  The running claim counts agree
-    with the per-client contents: ``claimed_docs()`` is their union and
-    ``claims_doc`` tests membership in it.  Small filters (sizes that are
-    not a multiple of 64 bits) make collisions — false positives the
-    two layouts must agree on — common."""
+    leave the bit-matrix index holding exactly the words of one filter
+    per client and answering like it: holders, the round-robin lookup
+    pick, failover candidates, the entry count and the footprint.  The
+    running claim counts agree with the per-client contents:
+    ``claimed_docs()`` is their union and ``claims_doc`` tests
+    membership in it.  Small filters (sizes that are not a multiple of
+    64 bits) make collisions — false positives the two layouts must
+    agree on — common."""
     index = BloomBrowserIndex(
         N_MODEL_CLIENTS,
         expected_docs_per_client=expected,
@@ -297,6 +313,7 @@ def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, thresho
             hit = index.lookup(doc, exclude, now, banned=banned or None)
             want = model.lookup(doc, exclude, banned)
             assert (hit.client if hit is not None else None) == want
+        assert index._bits.tolist() == model.filters
         claimed = set().union(*model.contents)
         assert set(index.claimed_docs()) == claimed
         for doc in range(41):

@@ -48,7 +48,7 @@ from repro.hierarchy.config import assign_proxy
 from repro.traces.profiles import small_paper_trace
 from repro.traces.record import Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
-from tests.conftest import assert_result_roundtrips
+from tests.conftest import assert_result_roundtrips, example_budget
 
 ORG = Organization.BROWSERS_AWARE_PROXY
 
@@ -253,7 +253,7 @@ def test_oracle_digest_period_charges_no_exchange_bytes():
     assert result.digest_missed_hits == 0
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=example_budget(20), deadline=None)
 @given(
     n_proxies=st.integers(2, 4),
     index_knobs=st.sampled_from([

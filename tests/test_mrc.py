@@ -166,6 +166,25 @@ def test_every_size_curve_monotone_non_decreasing(trace, capacities):
             assert b1 >= b0
 
 
+@pytest.mark.parametrize(
+    "org", sorted(MRC_EXACT_ORGANIZATIONS, key=lambda o: o.value)
+)
+def test_pure_lru_replay_never_loses_hits_as_capacity_grows(small_trace, org):
+    """LRU is a stack algorithm: a larger cache holds everything a
+    smaller one does, which is what makes the one-pass MRC exact for
+    these organizations.  So the replay engine's hit and byte hit
+    ratios never fall as the proxy (and, at minimum sizing, browser)
+    capacity grows."""
+    replays = [
+        simulate(small_trace, org, SimulationConfig.relative(small_trace, frac))
+        for frac in (0.01, 0.03, 0.1, 0.3, 1.0)
+    ]
+    for small, large in zip(replays, replays[1:]):
+        assert large.hit_ratio >= small.hit_ratio
+        assert large.byte_hit_ratio >= small.byte_hit_ratio
+    assert replays[-1].hit_ratio > replays[0].hit_ratio
+
+
 # -- sampler determinism and identity ----------------------------------
 
 
