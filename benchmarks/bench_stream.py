@@ -47,7 +47,7 @@ BIG_CLIENTS = 1_000_000
 CI_REQUESTS = 200_000
 CI_CLIENTS = 50_000
 #: hard peak-RSS ceiling for the CI cell (bytes).  The streamed replay
-#: of the CI cell measures ~150 MB; 600 MB leaves headroom for
+#: of the CI cell measures ~125 MiB; 600 MB leaves headroom for
 #: allocator/interpreter drift while still failing loudly if anything
 #: rematerialises the trace or reintroduces per-client objects.
 CI_RSS_CEILING = 600 * 1024 * 1024

@@ -84,6 +84,7 @@ import random
 
 from repro.adversarial import PeerPopulation
 from repro.cache import FlatBrowsers, TieredLRUCache, make_cache
+from repro.cache.flat import DOC_BITS
 from repro.cache.base import CacheEntry
 from repro.core.chaos import InvariantMonitor
 from repro.core.churn import ChurnProcess
@@ -735,10 +736,13 @@ class Simulator:
             if index is None:
                 flat.put(client, doc, size, version)
                 return
-            already = flat.peek(client, doc) >= 0
+            slot_of = flat.slot_of
+            key = (client << DOC_BITS) | doc
+            already = key in slot_of
+            record_evict = self._record_evict
             for evicted in flat.put(client, doc, size, version):
-                self._record_evict(client, evicted, now)
-            cached = flat.peek(client, doc) >= 0
+                record_evict(client, evicted, now)
+            cached = key in slot_of
         else:
             cache = self.browsers[client]
             if index is None:

@@ -23,19 +23,27 @@ chunks from a generator carrying the right state yields the identical
 values.  Uniform doubles consume exactly one PCG64 step each, so the
 five uniform cursors are positioned with ``PCG64.advance``; the
 variable-consumption draws (ziggurat exponentials, Poisson) are
-positioned by saving and restoring bit-generator state captured during
-calibration.
+positioned from bit-generator states captured on the way.
+
+Construction (calibration) runs the generative loop on those cursors
+exactly once, and keeps what it produced as tables: each request's
+index into the sorted unique ``(doc, version)`` pairs, each pair's
+packed key (``doc << 32 | version``) and its final size.  Emission is
+then a gather — docs are ``keys >> 32`` and versions ``keys &
+0xffffffff`` of ``keys = pair_keys[pair_idx[start:end]]``, sizes are
+``pair_final[pair_idx[start:end]]`` — and only the timestamp gap
+exponentials are redrawn, from their saved start state, with the
+cumulative sum carried across chunks.
 
 Memory model
 ------------
-Calibration retains roughly **8 bytes per request** (an ``int32``
-client id and an ``int32`` size-class index) plus O(unique documents)
-size tables, against the materialised path's five 8-byte output columns
-plus the ``Trace`` and its replay conversions.  The generative process
-itself keeps its preferential-attachment pool and per-client histories
-(inherent to the workload model and identical to ``generate_trace``);
-what streaming eliminates is every whole-trace output allocation.  Each
-emitted chunk is O(``chunk_rows``).
+A stream retains **8 bytes per request** (an ``int32`` client id and an
+``int32`` pair index) plus O(unique pairs) key and size tables, against
+the materialised path's five 8-byte output columns plus the ``Trace``
+and its replay conversions.  The generative process's own state (its
+preferential-attachment pool and per-client histories, identical to
+``generate_trace``'s) lives only during calibration.  Each emitted
+chunk is O(``chunk_rows``).
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ __all__ = ["TraceStream", "stream_trace"]
 DEFAULT_CHUNK_ROWS = 65_536
 
 _VERSION_BITS = 32  # (doc, version) packed as doc << 32 | version
+_VERSION_MASK = (1 << _VERSION_BITS) - 1
 
 
 def _generator_at(state: dict, offset: int = 0) -> np.random.Generator:
@@ -74,11 +83,12 @@ class TraceStream:
     """Chunked, re-iterable view of a synthetic trace.
 
     Bit-identical to ``generate_trace(config, seed)`` without ever
-    materialising the five request columns.  Construction runs a single
+    materialising the five request columns.  Construction runs the one
     calibration pass (the generative loop plus size/timestamp
     normalisation); every subsequent :meth:`chunks` / :meth:`iter_rows`
-    call replays the emission pass from saved RNG states, so the stream
-    can be consumed any number of times.
+    call gathers its rows from the calibration tables and redraws only
+    the timestamp gaps, so the stream can be consumed any number of
+    times without re-running the generator.
 
     Parameters
     ----------
@@ -188,28 +198,28 @@ class TraceStream:
         # Values are < n_clients, so int32 halves the retained footprint;
         # emission upcasts per chunk.
         self._clients = clients.astype(np.int32)
-        self._state_stream = rng.bit_generator.state
+        state_stream = rng.bit_generator.state
 
         # The embedded-object Poisson array is drawn only after the full
         # lookback exponential array, and ziggurat consumption is
         # value-dependent — so its start state must be *discovered* by
         # streaming the exponentials once.
-        self._state_embed: dict | None = None
+        state_embed: dict | None = None
         if cfg.embedded_per_page_mean > 0:
-            scout = _generator_at(self._state_stream, 5 * n)
+            scout = _generator_at(state_stream, 5 * n)
             for start in range(0, n, self.chunk_rows):
                 scout.exponential(
                     cfg.self_lookback_mean, size=min(self.chunk_rows, n - start)
                 )
-            self._state_embed = scout.bit_generator.state
+            state_embed = scout.bit_generator.state
 
-        # Generative loop: retain only the packed (doc, version) per
-        # request, to recover final popularity counts and the unique
-        # pair table that sizes are assigned over.
+        # Generative loop, its only run: retain only the packed
+        # (doc, version) per request, to recover final popularity counts
+        # and the unique pair table that sizes are assigned over.
         packed = np.empty(n, dtype=np.int64)
         state_after_variates: dict | None = None
         for start, end, docs_c, versions_c, state_after_variates in self._loop_chunks(
-            self.chunk_rows
+            self.chunk_rows, state_stream, state_embed
         ):
             np.left_shift(docs_c, _VERSION_BITS, out=docs_c)
             np.bitwise_or(docs_c, versions_c, out=docs_c)
@@ -232,7 +242,7 @@ class TraceStream:
             np.maximum(counts, 1.0), -cfg.size_popularity_beta
         )
         pair_docs = unique_keys >> _VERSION_BITS
-        pair_vers = unique_keys & ((1 << _VERSION_BITS) - 1)
+        pair_vers = unique_keys & _VERSION_MASK
         mut_noise = np.where(
             pair_vers == 0,
             1.0,
@@ -255,9 +265,11 @@ class TraceStream:
         self._pair_idx = inverse.astype(
             np.int32 if len(unique_keys) <= np.iinfo(np.int32).max else np.int64
         )
+        # Emission gathers each request's doc and version from here.
+        self._pair_keys = unique_keys
         pair_counts = np.bincount(self._pair_idx, minlength=len(unique_keys))
         self._total_bytes = int((self._pair_final * pair_counts).sum())
-        del pair_sizes, inverse, unique_keys, pair_counts
+        del pair_sizes, inverse, pair_counts
 
         # Timestamps: stream the gap exponentials once to learn the
         # normalisation constants (cumsum is a sequential scan, so a
@@ -290,10 +302,10 @@ class TraceStream:
         else:
             self._last_timestamp = float((t_last / self._span) * cfg.duration)
 
-    # -- the generative loop, chunked ---------------------------------
+    # -- the generative loop, chunked (calibration only) --------------
 
     def _loop_chunks(
-        self, chunk_rows: int
+        self, chunk_rows: int, state_stream: dict, state_embed: dict | None
     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, dict]]:
         """Run the reference-stream loop, yielding per-chunk docs and
         versions.
@@ -301,22 +313,23 @@ class TraceStream:
         The loop body is a verbatim transliteration of
         :func:`repro.traces.synthetic._reference_stream`; only the
         variate arrays arrive in chunks, from cursors positioned on the
-        same master stream.  The final tuple element is the
-        bit-generator state after the last variate array completed
-        (where ``generate_trace`` would begin the size draws).
+        same master stream (*state_stream*: where the uniform arrays
+        begin; *state_embed*: where the embedded-object Poisson array
+        begins, ``None`` when the config has none).  The final tuple
+        element is the bit-generator state after the last variate array
+        completed (where ``generate_trace`` would begin the size draws).
+        Calibration runs it exactly once per stream.
         """
         cfg = self.config
         n = cfg.n_requests
-        cur_kind = _generator_at(self._state_stream, 0)
-        cur_private = _generator_at(self._state_stream, n)
-        cur_pos = _generator_at(self._state_stream, 2 * n)
-        cur_recent = _generator_at(self._state_stream, 3 * n)
-        cur_mutate = _generator_at(self._state_stream, 4 * n)
-        cur_lookback = _generator_at(self._state_stream, 5 * n)
+        cur_kind = _generator_at(state_stream, 0)
+        cur_private = _generator_at(state_stream, n)
+        cur_pos = _generator_at(state_stream, 2 * n)
+        cur_recent = _generator_at(state_stream, 3 * n)
+        cur_mutate = _generator_at(state_stream, 4 * n)
+        cur_lookback = _generator_at(state_stream, 5 * n)
         track_embedded = cfg.embedded_per_page_mean > 0
-        cur_embed = (
-            _generator_at(self._state_embed) if track_embedded else None
-        )
+        cur_embed = _generator_at(state_embed) if track_embedded else None
 
         p_new = cfg.p_new
         p_self_edge = cfg.p_new + cfg.p_self
@@ -489,18 +502,25 @@ class TraceStream:
         """Yield ``(timestamps, clients, docs, sizes, versions)`` column
         chunks, dtype-identical to the materialised trace's columns.
 
-        Re-iterable: each call replays the emission pass from the saved
-        calibration state.  The chunk size does not affect the values.
+        Re-iterable: each call gathers every chunk from the calibration
+        tables (pair keys, sizes) and redraws only the timestamp gaps,
+        so it costs O(``chunk_rows``) memory and no generative loop.
+        The chunk size does not affect the values.
         """
         step = int(chunk_rows) if chunk_rows else self.chunk_rows
         if step <= 0:
             raise ValueError(f"chunk_rows must be > 0, got {step}")
+        pair_idx, pair_keys, pair_final = (
+            self._pair_idx, self._pair_keys, self._pair_final
+        )
         ts_iter = self._timestamp_chunks(step)
-        for start, end, docs, versions, _ in self._loop_chunks(step):
-            ts = next(ts_iter)
-            clients = self._clients[start:end].astype(np.int64)
-            sizes = self._pair_final[self._pair_idx[start:end]]
-            yield ts, clients, docs, sizes, versions
+        for start in range(0, self.config.n_requests, step):
+            idx = pair_idx[start : start + step]
+            keys = pair_keys[idx]
+            docs = keys >> _VERSION_BITS
+            versions = np.bitwise_and(keys, _VERSION_MASK, out=keys)
+            clients = self._clients[start : start + step].astype(np.int64)
+            yield next(ts_iter), clients, docs, pair_final[idx], versions
 
     def iter_rows(
         self, chunk_rows: int | None = None

@@ -15,6 +15,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.traces import SyntheticTraceConfig, TraceStream, generate_trace, stream_trace
+from tests.conftest import example_budget
 
 
 def assert_stream_matches(config: SyntheticTraceConfig, seed: int, chunk_rows=None):
@@ -43,10 +44,13 @@ def assert_stream_matches(config: SyntheticTraceConfig, seed: int, chunk_rows=No
     p_mutate=st.sampled_from([0.0, 0.05]),
     diurnal=st.sampled_from([0.0, 0.8]),
     embedded=st.sampled_from([0.0, 1.5]),
+    chunk_rows=st.none() | st.integers(1, 97),
+    reread_rows=st.integers(1, 500),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=example_budget(40), deadline=None)
 def test_streamed_equals_generate_trace(
-    n_requests, n_clients, seed, p_mutate, diurnal, embedded
+    n_requests, n_clients, seed, p_mutate, diurnal, embedded, chunk_rows,
+    reread_rows,
 ):
     config = SyntheticTraceConfig(
         n_requests=n_requests,
@@ -55,7 +59,22 @@ def test_streamed_equals_generate_trace(
         diurnal_amplitude=diurnal,
         embedded_per_page_mean=embedded,
     )
-    assert_stream_matches(config, seed)
+    ref, stream = assert_stream_matches(config, seed, chunk_rows)
+    # Re-iterate with a different chunk size, twice: every pass gathers
+    # the same rows from the calibration tables.
+    if reread_rows == chunk_rows:
+        reread_rows += 1
+    passes = [
+        [np.concatenate(col) for col in zip(*stream.chunks(chunk_rows=reread_rows))]
+        for _ in range(2)
+    ]
+    for name, first, second in zip(
+        ("timestamps", "clients", "docs", "sizes", "versions"), *passes
+    ):
+        expected = getattr(ref, name)
+        assert first.dtype == second.dtype == expected.dtype, name
+        np.testing.assert_array_equal(first, expected, err_msg=name)
+        np.testing.assert_array_equal(second, first, err_msg=name)
 
 
 def test_chunk_size_invariance():
@@ -113,10 +132,60 @@ def test_generator_seed_rejected():
         TraceStream(config, seed=np.random.default_rng(0))
 
 
+def test_generative_loop_runs_once_per_stream(monkeypatch):
+    """Calibration runs the generative loop once; emission gathers from
+    its tables and never runs it again, whatever the consumer."""
+    calls = []
+    loop = TraceStream._loop_chunks
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return loop(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceStream, "_loop_chunks", counted)
+    config = SyntheticTraceConfig(
+        n_requests=700, n_clients=12, p_mutate=0.05, embedded_per_page_mean=1.5
+    )
+    stream = TraceStream(config, seed=4, chunk_rows=64)
+    assert len(calls) == 1
+    for _ in stream.chunks():
+        pass
+    for _ in stream.chunks(chunk_rows=1000):
+        pass
+    rows = list(stream.iter_rows())
+    trace = stream.materialise()
+    assert len(calls) == 1
+    assert rows == list(trace.iter_rows())
+    assert rows == list(generate_trace(config, seed=4).iter_rows())
+
+
+def test_reiteration_memory_is_per_chunk():
+    """A second full pass allocates O(chunk_rows), not O(n): emission
+    gathers each chunk and keeps no generator state (the generative
+    loop's per-client histories and pools cost ~5.7 MB here)."""
+    import tracemalloc
+
+    config = SyntheticTraceConfig(n_requests=120_000, n_clients=500)
+    stream = TraceStream(config, seed=0, chunk_rows=4_096)
+    for _ in stream.chunks():
+        pass
+
+    tracemalloc.start()
+    try:
+        for _ in stream.chunks():
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured locally: ~425 KB
+    assert peak < 1024 * 1024, f"re-iteration peaked at {peak:,} B"
+
+
 def test_streaming_memory_below_materialised_generation():
-    """Streaming retains ~8 B/request (int32 client + pair index) and
-    its transient peak must stay well under ``generate_trace``'s, which
-    allocates five O(n) result columns plus O(n) float temporaries."""
+    """Streaming retains ~8 B/request (int32 client + pair index) plus
+    an O(unique pairs) key table, and its transient peak must stay well
+    under ``generate_trace``'s, which allocates five O(n) result columns
+    plus O(n) float temporaries."""
     import tracemalloc
 
     config = SyntheticTraceConfig(n_requests=120_000, n_clients=500)
