@@ -20,11 +20,12 @@ Usage::
     python benchmarks/bench_stream.py --compare          # + materialised run and RSS ratio
     python benchmarks/bench_stream.py --ci               # small cell, hard RSS ceiling
     python benchmarks/bench_stream.py --check BENCH_stream.json
-        # CI gate: identity + streamed RSS under the committed ceiling
+        # CI gate: identity + committed digest + streamed RSS under the ceiling
 
 The throughput numbers are machine-dependent and informational; the
 gate (``--check``) asserts only machine-neutral facts — the two engines
-agree bit for bit, and the streamed replay stays under an absolute
+agree bit for bit, the streamed result equals the committed CI-cell
+``result_digest``, and the streamed replay stays under an absolute
 RSS ceiling sized ~4x above the expected footprint.
 """
 
@@ -231,7 +232,8 @@ def render(report: dict) -> str:
 
 def check(baseline_path: Path, seed: int) -> int:
     """The CI gate: replay the committed CI cell, assert engine
-    identity and the committed RSS ceiling."""
+    identity, the committed streamed result digest and the committed
+    RSS ceiling."""
     baseline = json.loads(baseline_path.read_text())
     ci = baseline["ci"]
     cell = ci["cell"]
@@ -243,6 +245,14 @@ def check(baseline_path: Path, seed: int) -> int:
     failures = []
     if not report["comparison"]["identical_results"]:
         failures.append("streamed and materialised engines diverged")
+    # Both engines can move alike; the committed digest catches that.
+    pinned = ci["report"]["streamed"]["result_digest"]
+    digest = report["streamed"]["result_digest"]
+    if digest != pinned:
+        failures.append(
+            f"streamed result digest {digest[:8]}… differs from the committed "
+            f"{pinned[:8]}…"
+        )
     rss = report["streamed"]["peak_rss_bytes"]
     print(f"streamed peak RSS {_mb(rss)}, committed ceiling {_mb(ceiling)}")
     if rss > ceiling:
@@ -252,7 +262,10 @@ def check(baseline_path: Path, seed: int) -> int:
     for failure in failures:
         print(f"STREAMING REGRESSION: {failure}", file=sys.stderr)
     if not failures:
-        print("OK: engines identical, streamed RSS under the committed ceiling")
+        print(
+            "OK: engines identical, results equal the committed digest, "
+            "streamed RSS under the committed ceiling"
+        )
     return 1 if failures else 0
 
 
@@ -276,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         metavar="BASELINE",
-        help="run the baseline's CI cell; exit 1 on divergence or RSS breach",
+        help="run the baseline's CI cell; exit 1 on divergence, a digest "
+        "other than the committed one, or an RSS breach",
     )
     parser.add_argument(
         "--pin",

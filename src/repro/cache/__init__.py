@@ -15,8 +15,8 @@ semantics:
   index file.
 
 :class:`FlatBrowsers` holds a whole population of LRU browser caches
-in one flat slot pool; its ``put`` returns the evicted keys instead of
-calling a hook.
+in one flat slot pool; its ``fill`` reports evictions and the insert
+to the index handles it is given instead of calling a hook.
 """
 
 from repro.cache.base import Cache, CacheEntry

@@ -35,17 +35,21 @@ Every configuration of all three engines replays through **one loop**
 coherence, proxy crash recovery, the quarantine guard, the invariant
 monitor — is bound into hooks once per run, before the loop starts,
 and steps 2–5 fall through to one shared *fill tail* that populates
-the caches the serving step names.  Per-engine handles (caches, index,
-delivery methods) come from :meth:`Simulator._bind`.  Client state has
-two backends behind the same loop: one cache object per client (the
-default), or every LRU browser cache in one flat
+the caches the serving step names.  The fill tail puts into plain LRU
+caches inline and reports each browser victim, then the insert, to
+the index handles itself; tiered and non-LRU browser caches report
+their victims through an ``on_evict`` hook.  Per-engine handles
+(caches, index, delivery methods) come from :meth:`Simulator._bind`.
+Client state has two backends behind the same loop: one cache object
+per client (the default), or every LRU browser cache in one flat
 :class:`~repro.cache.FlatBrowsers` slot pool
 (:class:`~repro.core.stream_engine.StreamSimulator`, for
 million-client cells and streamed sources).  The flat backend takes
-its own arm in the browser probe, :meth:`_browser_put`, the holder
-lookup and the whole-population walks; it has no tiered or
-per-entry-expiry state, so ``StreamSimulator`` rejects those knobs
-(and federation) by name.  The third engine,
+its own arm in the browser probe, the fill (one
+:meth:`FlatBrowsers.fill <repro.cache.FlatBrowsers.fill>` call that
+reports its own index events), the holder lookup and the
+whole-population walks; it has no tiered or per-entry-expiry state,
+so ``StreamSimulator`` rejects those knobs (and federation) by name.  The third engine,
 :class:`~repro.federation.engine.FederatedSimulator`, has no loop of
 its own: it is a router in front of this one, holding one bound
 handle tuple per proxy.  Step 0 routes each request to its home proxy
@@ -75,16 +79,27 @@ steps (results stay bit-identical; only observation is added).  The
 conservation and ledger laws of
 :class:`~repro.core.chaos.InvariantMonitor` are checked once at
 finalise on every run.
+
+The loop runs with the cyclic garbage collector paused
+(:func:`_gc_paused`, which restores the caller's collector state
+afterwards).  It allocates long-lived, acyclic state — cache and
+index entries, per-document dicts — so the collections those
+allocations would trigger re-walk ever more objects and free none:
+several percent of a streamed BAPS replay at 10k clients, about a
+quarter at 100k.  Reference counting still frees whatever the loop
+drops; the pause is safe only while a replay creates no reference
+cycles, which ``tests/test_gc_pause.py`` checks on the stream,
+object, federated and crash-recovery paths.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import random
 
 from repro.adversarial import PeerPopulation
 from repro.cache import FlatBrowsers, TieredLRUCache, make_cache
-from repro.cache.flat import DOC_BITS
 from repro.cache.base import CacheEntry
 from repro.core.chaos import InvariantMonitor
 from repro.core.churn import ChurnProcess
@@ -105,6 +120,19 @@ from repro.util.rng import derive_seed
 from repro.util.units import BITS_PER_BYTE
 
 __all__ = ["Simulator", "simulate", "bloom_expected_docs", "dense_client_count"]
+
+
+def _gc_paused(fn, *args):
+    """``fn(*args)`` with the cyclic garbage collector paused, then
+    the caller's collector state (enabled or not) restored, also when
+    *fn* raises.  Wraps the replay loop (see the module docstring)."""
+    if not gc.isenabled():
+        return fn(*args)
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        gc.enable()
 
 
 def _dense_client_count(trace: Trace) -> int:
@@ -227,9 +255,13 @@ class Simulator:
 
         if self.features.has_index:
             self.index = self._new_index(n_clients)
-            self._now = 0.0
-            for cid, cache in enumerate(self.browsers):
-                cache.on_evict = self._make_evict_hook(cid)
+            # The loop's own fill reports the evictions of plain LRU
+            # browsers and of the flat pool; tiered and non-LRU caches
+            # report theirs through a hook reading the fill's time.
+            if self._tiered or config.browser_policy != "lru":
+                self._now = 0.0
+                for cid, cache in enumerate(self.browsers):
+                    cache.on_evict = self._make_evict_hook(cid)
         else:
             self.index = None
 
@@ -390,9 +422,11 @@ class Simulator:
 
     def _bind_index_events(self) -> None:
         """Point ``_record_insert``/``_record_evict`` — the handles every
-        browser insert and evict goes through (:meth:`_bind`,
-        :meth:`_browser_put`, the on-evict hooks) — at the index, or
-        through the holder map when one is kept."""
+        browser insert and evict goes through (:meth:`_bind`, hence the
+        loop's fill tail and :meth:`FlatBrowsers.fill
+        <repro.cache.FlatBrowsers.fill>`; :meth:`_browser_put` and the
+        on-evict hooks) — at the index, or through the holder map when
+        one is kept."""
         if self._holders is None:
             self._record_insert = self.index.record_insert
             self._record_evict = self.index.record_evict
@@ -724,36 +758,22 @@ class Simulator:
         return (True, memory) if served else (False, None)
 
     def _browser_put(self, client: int, doc: int, size: int, version: int, now: float) -> None:
-        """Insert into a browser cache, keeping the index (and the
-        holder map, when kept) in sync.
+        """Insert into a tiered or non-LRU browser cache (the loop fills
+        plain LRU caches and the flat pool itself), keeping the index
+        (and the holder map, when kept) in sync.
 
-        Index events follow the put's own order on both backends: the
-        evictions it caused first, then the insert (or the eviction of
-        the refreshed document itself)."""
-        index = self.index
-        flat = self.flat
-        if flat is not None:
-            if index is None:
-                flat.put(client, doc, size, version)
-                return
-            slot_of = flat.slot_of
-            key = (client << DOC_BITS) | doc
-            already = key in slot_of
-            record_evict = self._record_evict
-            for evicted in flat.put(client, doc, size, version):
-                record_evict(client, evicted, now)
-            cached = key in slot_of
-        else:
-            cache = self.browsers[client]
-            if index is None:
-                cache.put(doc, size, version)
-                return
-            already = doc in cache
-            self._now = now  # read by the cache's on_evict hook
+        Index events follow the put's own order: the evictions it
+        caused (through the cache's on-evict hook) first, then the
+        insert (or the eviction of the refreshed document itself)."""
+        cache = self.browsers[client]
+        if self.index is None:
             cache.put(doc, size, version)
-            cached = doc in cache
+            return
+        already = doc in cache
+        self._now = now  # read by the cache's on_evict hook
+        cache.put(doc, size, version)
         # An oversized object is refused; only index what is cached.
-        if cached:
+        if doc in cache:
             self._record_insert(
                 client,
                 doc,
@@ -845,7 +865,7 @@ class Simulator:
             self._checkpointer.reset_after_crash(tc)
         rate = self.config.reannounce_rate
         if self.flat is not None:
-            announcers = [cid for cid, n in enumerate(self.flat.count) if n > 0]
+            announcers = [cid for cid, h in enumerate(self.flat.head) if h >= 0]
         else:
             announcers = [
                 cid for cid, cache in enumerate(self.browsers) if len(cache) > 0
@@ -908,9 +928,12 @@ class Simulator:
         the result.
         """
         if self.profile is None:
-            return self._replay()
-        return self.profile.time_replay(
-            self._replay, _loop_phase_map(), self._phase_counts
+            return _gc_paused(self._replay)
+        return _gc_paused(
+            self.profile.time_replay,
+            self._replay,
+            _loop_phase_map(),
+            self._phase_counts,
         )
 
     def _bind(self) -> tuple:
@@ -1062,6 +1085,7 @@ class Simulator:
         self_get = self._get
         flat = self.flat
         flat_probe = flat.probe if flat is not None else None
+        flat_fill = flat.fill if flat is not None else None
         flat_ver = flat.e_ver if flat is not None else None
         # LRU probes bypass the Python-level Cache.get frame entirely:
         # the merged-OrderedDict layout makes a probe one C-level
@@ -1069,11 +1093,6 @@ class Simulator:
         # exact semantics of LRUCache.get.
         lru_b = browser_entries is not None and config.browser_policy == "lru"
         lru_p = proxy_entries is not None
-        # Where no eviction hook can fire, LRUCache.put itself is
-        # inlined in the fill tail: browser caches only get an
-        # ``on_evict`` when an index exists (evictions must then be
-        # reported), and the proxy cache never gets one.
-        inline_bput = lru_b and index is None
         index_ttl = config.index_entry_ttl
         security = self._security
         sec_transfer = security.transfer_cost if security is not None else None
@@ -1335,8 +1354,11 @@ class Simulator:
                 if stamp is not None:
                     stamp(proxy, d, t, last_mod)
             if to_browser:
-                if inline_bput:
-                    # inlined LRUCache.put (no evict hook)
+                if flat_fill is not None:
+                    flat_fill(c, d, s, ver, t, record_insert, record_evict, index_ttl)
+                elif lru_b:
+                    # inlined LRUCache.put, reporting its index events
+                    # itself: each victim, then the insert
                     bcache = browsers[c]
                     bce = browser_entries[c]
                     old = bce.get(d)
@@ -1349,29 +1371,41 @@ class Simulator:
                         bce[d] = CacheEntry(d, s, ver)
                         bused = bcache.used + s
                     else:
-                        bused = -1  # refused: no change
+                        bused = -1  # refused: no change, no event
                     if bused >= 0:
                         cap = bcache.capacity
-                        if bused <= cap:
-                            bcache.used = bused
-                        else:
-                            while bused > cap:
-                                victim = None
-                                for k in bce:
-                                    if k != d:
-                                        victim = k
-                                        break
-                                if victim is None:
-                                    bused -= bce.pop(d).size
+                        while bused > cap:
+                            victim = None
+                            for k in bce:
+                                if k != d:
+                                    victim = k
                                     break
-                                bused -= bce.pop(victim).size
-                            bcache.used = bused
+                            if victim is None:
+                                # Only the refreshed oversized copy is
+                                # left: reported as the put's victim and
+                                # again as the refused refresh.
+                                bused -= bce.pop(d).size
+                                if record_evict is not None:
+                                    record_evict(c, d, t)
+                                    record_evict(c, d, t)
+                                break
+                            bused -= bce.pop(victim).size
+                            if record_evict is not None:
+                                record_evict(c, victim, t)
+                        else:
+                            # no break: d stayed cached
+                            if record_insert is not None:
+                                record_insert(
+                                    c, d, ver, s, t, index_ttl, old is not None
+                                )
+                        bcache.used = bused
                 elif browser_puts is None:
                     browser_put(c, d, s, ver, t)
                 elif record_insert is None:
                     browser_puts[c](d, s, ver)
                 else:
-                    # inlined _browser_put
+                    # inlined _browser_put (non-LRU: the cache's
+                    # on_evict hook reports the victims)
                     bce = browser_entries[c]
                     already = d in bce
                     sim._now = t

@@ -60,7 +60,12 @@ from repro.core.chaos import InvariantMonitor
 from repro.core.config import SimulationConfig
 from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization
-from repro.core.simulator import Simulator, _dense_client_count, bloom_expected_docs
+from repro.core.simulator import (
+    Simulator,
+    _dense_client_count,
+    _gc_paused,
+    bloom_expected_docs,
+)
 from repro.federation.digest import DigestDirectory
 from repro.federation.linkfaults import PartitionSchedule
 from repro.hierarchy.config import assign_proxy
@@ -197,7 +202,7 @@ class FederatedSimulator:
         :meth:`Simulator._replay <repro.core.simulator.Simulator._replay>`,
         with this federation as its router."""
         self._bound = [sim._bind() for sim in self.sims]
-        return self.sims[0]._replay(self)
+        return _gc_paused(self.sims[0]._replay, self)
 
     def _route(self, t: float, c: int) -> int:
         """Step 0 of the loop: the work due before client *c*'s request
