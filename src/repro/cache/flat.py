@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from array import array
 
-__all__ = ["DOC_BITS", "DOC_LIMIT", "FlatBrowsers"]
+__all__ = ["DOC_BITS", "DOC_LIMIT", "DOC_MASK", "FlatBrowsers"]
 
 #: bits reserved for the document id in the packed (client, doc) key.
 DOC_BITS = 40
 #: document ids must stay below this for the packed key to be unique.
 DOC_LIMIT = 1 << DOC_BITS
+#: the document id of a packed key is ``key & DOC_MASK``.
+DOC_MASK = DOC_LIMIT - 1
 
 
 class FlatBrowsers:
@@ -47,11 +49,18 @@ class FlatBrowsers:
     object backend sends through ``on_evict`` and the engine's insert
     report.
 
+    Each slot stores its packed ``(client << DOC_BITS) | doc`` key
+    (``e_key``).  Where the exact index or truth queries read them
+    (:meth:`keep_chains`), slots also form per-document *holder chains*
+    (``e_hprev``/``e_hnext``, newest slot in the ``chain_head`` dict:
+    not an array, as ids run up to :data:`DOC_LIMIT`).
+
     ``array('q')`` stores raw 8-byte machine ints: per-client cost is
     four words and per-cached-entry cost five words plus one
-    ``slot_of`` dict entry — no boxed-int or pointer-per-element
-    overhead, which at a million clients is the difference between
-    megabytes and gigabytes.
+    ``slot_of`` dict entry (seven words with chains, plus one
+    ``chain_head`` entry per cached document) — no boxed-int or
+    pointer-per-element overhead, which at a million clients is the
+    difference between megabytes and gigabytes.
     """
 
     __slots__ = (
@@ -60,12 +69,16 @@ class FlatBrowsers:
         "head",
         "tail",
         "slot_of",
-        "e_doc",
+        "e_key",
         "e_size",
         "e_ver",
         "e_prev",
         "e_next",
         "free",
+        "chain_head",
+        "e_hprev",
+        "e_hnext",
+        "n_events",
     )
 
     def __init__(self, capacities: list[int]) -> None:
@@ -75,12 +88,35 @@ class FlatBrowsers:
         self.head = array("q", [-1]) * n  # LRU end
         self.tail = array("q", [-1]) * n  # MRU end
         self.slot_of: dict[int, int] = {}
-        self.e_doc = array("q")
+        self.e_key = array("q")
         self.e_size = array("q")
         self.e_ver = array("q")
         self.e_prev = array("q")
         self.e_next = array("q")
         self.free: list[int] = []
+        #: doc -> newest slot of its holder chain; None: chains not kept.
+        self.chain_head: dict[int, int] | None = None
+        self.e_hprev = array("q")
+        self.e_hnext = array("q")
+        self.n_events = 0  # index events of the fills, while chains are kept
+
+    def keep_chains(self) -> None:
+        """Keep holder chains and count index events (idempotent; called
+        before the first fill)."""
+        if self.chain_head is None:
+            self.chain_head = {}
+
+    def holders(self, d: int, exclude: int, version: int | None) -> list[int]:
+        """Clients but *exclude* holding *d* (at *version* unless None)."""
+        found = []
+        slot = self.chain_head.get(d, -1)
+        e_key, e_ver, e_hnext = self.e_key, self.e_ver, self.e_hnext
+        while slot >= 0:
+            c = e_key[slot] >> DOC_BITS
+            if c != exclude and (version is None or e_ver[slot] == version):
+                found.append(c)
+            slot = e_hnext[slot]
+        return found
 
     # -- cache operations ---------------------------------------------
     #
@@ -139,8 +175,9 @@ class FlatBrowsers:
         the put's victim and once as the refused refresh, as the
         object backend reports it.  A new document larger than the
         capacity is refused without an event.  Either handle may be
-        ``None`` (no index); *ttl* is the index entry lifetime passed
-        on to ``on_insert``."""
+        ``None`` (no index, or one that reads the holder chains);
+        *ttl* is the index entry lifetime passed on to ``on_insert``.
+        Kept chains gain new slots and lose victims; ``n_events`` counts."""
         key = (c << DOC_BITS) | d
         slot_of = self.slot_of
         slot = slot_of.get(key)
@@ -150,6 +187,8 @@ class FlatBrowsers:
         tl = tail[c]
         used = self.used[c]
         cap = self.caps[c]
+        chains = self.chain_head
+        events = 1  # the insert, or the second report of a refused refresh
         if slot is not None:
             already = True
             used += s - self.e_size[slot]
@@ -175,18 +214,21 @@ class FlatBrowsers:
             free = self.free
             if free:
                 slot = free.pop()
-                self.e_doc[slot] = d
+                self.e_key[slot] = key
                 self.e_size[slot] = s
                 self.e_ver[slot] = v
                 e_prev[slot] = tl
                 e_next[slot] = -1
             else:
-                slot = len(self.e_doc)
-                self.e_doc.append(d)
+                slot = len(self.e_key)
+                self.e_key.append(key)
                 self.e_size.append(s)
                 self.e_ver.append(v)
                 e_prev.append(tl)
                 e_next.append(-1)
+                if chains is not None:
+                    self.e_hprev.append(-1)
+                    self.e_hnext.append(-1)
             if tl >= 0:
                 e_next[tl] = slot
             else:
@@ -194,21 +236,47 @@ class FlatBrowsers:
             tail[c] = slot
             slot_of[key] = slot
             used += s
+            if chains is not None:
+                # push onto the front of d's holder chain
+                first = chains.get(d, -1)
+                e_hprev = self.e_hprev
+                e_hprev[slot] = -1
+                self.e_hnext[slot] = first
+                if first >= 0:
+                    e_hprev[first] = slot
+                chains[d] = slot
         if used > cap:
             # Evict from the LRU end.  *slot* is the tail, so every
             # other victim has a successor.
             head = self.head
-            e_doc = self.e_doc
+            e_key = self.e_key
             e_size = self.e_size
+            e_hprev, e_hnext = self.e_hprev, self.e_hnext
             free = self.free
             while used > cap:
                 victim = head[c]
+                vkey = e_key[victim]
+                del slot_of[vkey]
+                free.append(victim)
+                used -= e_size[victim]
+                if chains is not None:
+                    # unlink from the victim document's holder chain
+                    hp, hn = e_hprev[victim], e_hnext[victim]
+                    if hp >= 0:
+                        e_hnext[hp] = hn
+                    elif hn >= 0:
+                        chains[vkey & DOC_MASK] = hn
+                    else:
+                        del chains[vkey & DOC_MASK]
+                    if hn >= 0:
+                        e_hprev[hn] = hp
+                    events += 1
                 if victim == slot:
                     # Only the just-refreshed oversized entry remains.
                     head[c] = tail[c] = -1
-                    del slot_of[key]
-                    free.append(slot)
-                    self.used[c] = used - s
+                    self.used[c] = used
+                    if chains is not None:
+                        self.n_events += events
                     if on_evict is not None:
                         on_evict(c, d, now)
                         on_evict(c, d, now)
@@ -216,12 +284,10 @@ class FlatBrowsers:
                 next_ = e_next[victim]
                 head[c] = next_
                 e_prev[next_] = -1
-                vdoc = e_doc[victim]
-                del slot_of[(c << DOC_BITS) | vdoc]
-                free.append(victim)
-                used -= e_size[victim]
                 if on_evict is not None:
-                    on_evict(c, vdoc, now)
+                    on_evict(c, vkey & DOC_MASK, now)
         self.used[c] = used
+        if chains is not None:
+            self.n_events += events
         if on_insert is not None:
             on_insert(c, d, v, s, now, ttl, already)

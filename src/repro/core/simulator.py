@@ -62,7 +62,8 @@ true browser contents (:meth:`_truth_holds`), never the caches.  The
 engine keeps the map current through the handles that already carry
 every browser insert and evict to the index, so the loop has no
 branch for it, and only where a truth query can be asked: a stale
-index, crash recovery, or a federation of several proxies.  The loop
+index, crash recovery, or a federation of several proxies (the flat
+backend walks its pool's per-document holder chains instead).  The loop
 is the throughput bottleneck of every sweep, so it is written as an
 *optimized fast path*: per-request counters accumulate in local
 variables and flush into the result once at finalise, the timing
@@ -100,6 +101,7 @@ import random
 
 from repro.adversarial import PeerPopulation
 from repro.cache import FlatBrowsers, TieredLRUCache, make_cache
+from repro.cache.flat import DOC_MASK
 from repro.cache.base import CacheEntry
 from repro.core.chaos import InvariantMonitor
 from repro.core.churn import ChurnProcess
@@ -109,6 +111,7 @@ from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization
 from repro.core.proxy_faults import ProxyFaultSchedule
 from repro.index.browser_index import BrowserIndex, UpdateMode
+from repro.index.chain import ChainIndex
 from repro.index.checkpoint import IndexCheckpointer
 from repro.index.engine_bloom import BloomBrowserIndex
 from repro.index.staleness import StalenessStats
@@ -253,6 +256,21 @@ class Simulator:
             else None
         )
 
+        # Proxy crash recovery (before the index, which it shapes).
+        # Nothing below constructs an RNG unless a rate-based fault model
+        # is configured; the default (always-up proxy) leaves the loop untouched.
+        self._fault_schedule = (
+            ProxyFaultSchedule(config.proxy_faults, seed=config.availability_seed)
+            if config.proxy_faults is not None
+            and (self.features.has_proxy or self.features.has_index)
+            else None
+        )
+        self._checkpointer = (
+            IndexCheckpointer(config.checkpoint)
+            if config.checkpoint is not None and self.features.has_index
+            else None
+        )
+
         if self.features.has_index:
             self.index = self._new_index(n_clients)
             # The loop's own fill reports the evictions of plain LRU
@@ -321,20 +339,6 @@ class Simulator:
         self._lookup_skipped_banned = False
         self._request_poisoned = False
 
-        # Proxy crash recovery.  Nothing below constructs an RNG unless
-        # a rate-based fault model is actually configured; the default
-        # (always-up proxy) leaves the replay loop untouched.
-        self._fault_schedule = (
-            ProxyFaultSchedule(config.proxy_faults, seed=config.availability_seed)
-            if config.proxy_faults is not None
-            and (self.features.has_proxy or self.features.has_index)
-            else None
-        )
-        self._checkpointer = (
-            IndexCheckpointer(config.checkpoint)
-            if config.checkpoint is not None and self.features.has_index
-            else None
-        )
         #: doc -> {client: version}: the true browser contents, kept
         #: only where a truth query can be asked (:meth:`_truth_holds`).
         self._holders: dict[int, dict[int, int]] | None = None
@@ -407,6 +411,11 @@ class Simulator:
                 rebuild_threshold=config.bloom_rebuild_threshold,
             )
         if config.index_update_policy is None:
+            if self.flat is not None and config.index_entry_ttl is None and (
+                self._fault_schedule is None and self._checkpointer is None
+            ):
+                # a pool view: TTLs and crash snapshots need per-entry state
+                return ChainIndex(self.flat)
             return BrowserIndex(n_clients, UpdateMode.INVALIDATION)
         return BrowserIndex(
             n_clients, UpdateMode.PERIODIC, policy=config.index_update_policy
@@ -426,7 +435,7 @@ class Simulator:
         loop's fill tail and :meth:`FlatBrowsers.fill
         <repro.cache.FlatBrowsers.fill>`; :meth:`_browser_put` and the
         on-evict hooks) — at the index, or through the holder map when
-        one is kept."""
+        one is kept (``None`` for a :class:`~repro.index.chain.ChainIndex`)."""
         if self._holders is None:
             self._record_insert = self.index.record_insert
             self._record_evict = self.index.record_evict
@@ -435,11 +444,13 @@ class Simulator:
             self._record_evict = self._holder_evict
 
     def _track_holders(self) -> None:
-        """Keep the holder map from here on (without an index no truth
-        query is ever asked).  Called before the replay by the
-        constructor (stale index or crash recovery) and by a federation
-        of more than one proxy (peer missed-hit checks)."""
-        if self.index is not None and self._holders is None:
+        """Keep the holder map (the flat pool's chains) from here on: by
+        the constructor (stale index or crash recovery) and a federation
+        of several proxies (peer missed-hit checks).  Without an index
+        no truth query is ever asked."""
+        if self.index is not None and self.flat is not None:
+            self.flat.keep_chains()
+        elif self.index is not None and self._holders is None:
             self._holders = {}
             self._bind_index_events()
 
@@ -902,7 +913,7 @@ class Simulator:
             if flat is not None:
                 slot = flat.head[cid]
                 while slot >= 0:
-                    items.append((flat.e_doc[slot], flat.e_ver[slot], flat.e_size[slot]))
+                    items.append((flat.e_key[slot] & DOC_MASK, flat.e_ver[slot], flat.e_size[slot]))
                     slot = flat.e_next[slot]
             else:
                 cache = self.browsers[cid]
@@ -1128,6 +1139,8 @@ class Simulator:
         security_time = 0.0
         peak_entries = result.index_peak_entries
         peak_footprint = result.index_peak_footprint_bytes
+        # a chain index counts the pool's slots (no crash replaces one)
+        pool_entries = flat.slot_of.__len__ if isinstance(index, ChainIndex) else None
 
         # The step comments below are the profiler's phase markers
         # (_PHASE_MARKERS): keep their wording in sync.
@@ -1417,7 +1430,9 @@ class Simulator:
                 if stamp is not None:
                     stamp(browsers[c], d, t, last_mod)
             if index is not None and via != "proxy_probe":
-                if fed is None:
+                if pool_entries is not None:
+                    n = pool_entries()
+                elif fed is None:
                     n = index.n_entries
                 else:
                     n = sum([x.index.n_entries for x in fed_sims])
@@ -1495,11 +1510,13 @@ class Simulator:
     def _truth_holds(self, doc: int, version: int, exclude: int) -> bool:
         """Does any other browser actually hold (doc, version)?
 
-        Answered from the holder map in O(holders of *doc*), not by
-        scanning caches; the map describes the browsers, not the index,
-        so it survives proxy crashes.  A federated per-proxy engine's
-        map only ever holds its member clients, the only browsers that
-        proxy writes."""
+        Answered from the holder map (on the flat backend, the pool's
+        holder chain) in O(holders of *doc*), not by scanning caches;
+        the map describes the browsers, not the index, so it survives
+        proxy crashes.  A federated per-proxy engine's map only ever
+        holds its member clients, the only browsers that proxy writes."""
+        if self.flat is not None:
+            return bool(self.flat.holders(doc, exclude, version))
         held = self._holders.get(doc)
         if held:
             for cid, ver in held.items():

@@ -9,7 +9,9 @@ of megabytes before a single document is cached.
 :meth:`Simulator._replay <repro.core.simulator.Simulator._replay>`,
 with the second client-state backend: every browser cache lives in one
 :class:`~repro.cache.FlatBrowsers` slot pool of ``array('q')`` columns,
-a few machine words per client.  The input can be any **row source** —
+a few machine words per client; its exact index is a view of the pool's
+per-document holder chains (:class:`~repro.index.chain.ChainIndex`), not
+a second copy.  The input can be any **row source** —
 a materialised :class:`~repro.traces.record.Trace` or a
 :class:`~repro.traces.streaming.TraceStream` — so a million-client,
 ten-million-request cell replays out-of-core.  The flat pool replicates

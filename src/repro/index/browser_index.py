@@ -29,14 +29,14 @@ class UpdateMode(Enum):
 
 @dataclass(slots=True)
 class IndexLookup:
-    """A successful index search: the chosen holder's entry.
+    """A successful index search: the chosen holder and its entry.
 
     Non-frozen slots dataclass for cheap construction (one per index
     hit on the replay hot path); treated as immutable by convention.
     """
 
     client: int
-    entry: IndexEntry
+    entry: IndexEntry | None
 
 
 class BrowserIndex:
@@ -92,14 +92,13 @@ class BrowserIndex:
         #: lookups where the ``banned`` filter removed at least one
         #: otherwise-qualifying candidate (quarantine defense).
         self.banned_candidates_skipped = 0
-        self._n_entries = 0
+        self.n_entries = 0  # visible index items across all clients
         #: (doc, client) pairs restored from a checkpoint and not yet
         #: refreshed by a live event — false hits against these are
         #: recovery staleness, tracked separately.
         self._restored: set[tuple[int, int]] = set()
         self.stats = StalenessStats()
         self.n_lookups = 0
-        self.n_index_hits = 0
         self.n_insert_events = 0
         self.n_evict_events = 0
         self.reannouncements = 0
@@ -140,9 +139,11 @@ class BrowserIndex:
         """
         self.n_insert_events += 1
         if self._invalidation:
-            holders = self._visible.setdefault(doc, {})
+            holders = self._visible.get(doc)
+            if holders is None:
+                self._visible[doc] = holders = {}
             if client not in holders:
-                self._n_entries += 1
+                self.n_entries += 1
             holders[client] = IndexEntry(client, doc, version, size, now, ttl)
             if self._restored:
                 self._restored.discard((doc, client))
@@ -162,7 +163,7 @@ class BrowserIndex:
             holders = self._visible.get(doc)
             if holders and client in holders:
                 del holders[client]
-                self._n_entries -= 1
+                self.n_entries -= 1
                 if self._restored:
                     self._restored.discard((doc, client))
                 if not holders:
@@ -197,13 +198,13 @@ class BrowserIndex:
                 holders = self._visible.get(doc)
                 if holders and client in holders:
                     del holders[client]
-                    self._n_entries -= 1
+                    self.n_entries -= 1
                     if not holders:
                         del self._visible[doc]
             else:
                 holders = self._visible.setdefault(doc, {})
                 if client not in holders:
-                    self._n_entries += 1
+                    self.n_entries += 1
                 holders[client] = entry
         pending.clear()
         state = self._state_of(client)
@@ -265,7 +266,6 @@ class BrowserIndex:
         else:
             candidates.sort()
             client, entry = candidates[self._rr % len(candidates)]
-        self.n_index_hits += 1
         return IndexLookup(client, entry)
 
     def holders_of(self, doc: int) -> list[int]:
@@ -320,7 +320,7 @@ class BrowserIndex:
         attributes those to recovery.
         """
         self._visible = {doc: dict(holders) for doc, holders in payload.items()}
-        self._n_entries = sum(len(h) for h in self._visible.values())
+        self.n_entries = sum(len(h) for h in self._visible.values())
         self._restored = {
             (doc, client)
             for doc, holders in self._visible.items()
@@ -346,7 +346,7 @@ class BrowserIndex:
             holders = self._visible[doc]
             if client in holders:
                 del holders[client]
-                self._n_entries -= 1
+                self.n_entries -= 1
                 self._restored.discard((doc, client))
                 if not holders:
                     del self._visible[doc]
@@ -355,7 +355,7 @@ class BrowserIndex:
         for doc, version, size in items:
             holders = self._visible.setdefault(doc, {})
             if client not in holders:
-                self._n_entries += 1
+                self.n_entries += 1
             holders[client] = IndexEntry(
                 client=client,
                 doc=doc,
@@ -385,11 +385,6 @@ class BrowserIndex:
         return doc in self._visible
 
     # -- accounting ------------------------------------------------------------
-
-    @property
-    def n_entries(self) -> int:
-        """Visible index items across all clients (O(1))."""
-        return self._n_entries
 
     def footprint_bytes(self) -> int:
         """Memory needed at the proxy for the exact index (§5):

@@ -87,7 +87,7 @@ class BloomBrowserIndex:
             {} for _ in range(n_clients)
         ]
         #: running total of ``len(c) for c in self._contents``.
-        self._n_entries = 0
+        self.n_entries = 0
         #: doc -> number of clients whose ``_contents`` hold it.
         self._claims: Counter[int] = Counter()
         self._changes_since_rebuild = [0] * n_clients
@@ -101,7 +101,6 @@ class BloomBrowserIndex:
         self._restored_clients: set[int] = set()
         self.stats = StalenessStats()
         self.n_lookups = 0
-        self.n_index_hits = 0
         self.n_insert_events = 0
         self.n_evict_events = 0
         self.rebuilds = 0
@@ -125,7 +124,7 @@ class BloomBrowserIndex:
         self.n_insert_events += 1
         contents = self._contents[client]
         if doc not in contents:
-            self._n_entries += 1
+            self.n_entries += 1
             self._claims[doc] += 1
         contents[doc] = (version, size)
         words, masks = key_words(doc, self._n_bits, self._n_hashes)
@@ -139,7 +138,7 @@ class BloomBrowserIndex:
     def record_evict(self, client: int, doc: int, now: float) -> None:
         self.n_evict_events += 1
         if self._contents[client].pop(doc, None) is not None:
-            self._n_entries -= 1
+            self.n_entries -= 1
             self._unclaim(doc)
         # the filter cannot forget: this is the staleness source
         self._bump(client, now)
@@ -190,7 +189,7 @@ class BloomBrowserIndex:
         snapshot — those surface as false hits attributed to recovery."""
         self._bits = payload["bits"].copy()
         self._contents = [dict(c) for c in payload["contents"]]
-        self._n_entries = sum(len(c) for c in self._contents)
+        self.n_entries = sum(len(c) for c in self._contents)
         self._claims = Counter()
         for contents in self._contents:
             self._claims.update(contents.keys())
@@ -210,7 +209,7 @@ class BloomBrowserIndex:
         """
         contents = {doc: (version, size) for doc, version, size in items}
         old = self._contents[client]
-        self._n_entries += len(contents) - len(old)
+        self.n_entries += len(contents) - len(old)
         for doc in old:
             self._unclaim(doc)
         self._claims.update(contents.keys())
@@ -250,7 +249,6 @@ class BloomBrowserIndex:
             return None
         self._rr += 1
         client = candidates[self._rr % len(candidates)]
-        self.n_index_hits += 1
         known = self._contents[client].get(doc)
         entry = IndexEntry(
             client=client,
@@ -303,10 +301,6 @@ class BloomBrowserIndex:
         return doc in self._claims
 
     # -- accounting ----------------------------------------------------------
-
-    @property
-    def n_entries(self) -> int:
-        return self._n_entries
 
     def footprint_bytes(self) -> int:
         """Proxy-side memory: the filters themselves."""

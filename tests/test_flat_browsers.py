@@ -5,9 +5,13 @@ pool and through one ``LRUCache`` per client whose ``on_evict`` hook
 records events, with the index reports the object engine adds around a
 put (the insert, or the second eviction of a refused refresh).  Contents
 and LRU order, occupancy, slot reuse and the exact sequence of index
-events must agree.  After a real BAPS replay, the exact
-invalidation index's visible entries must equal a walk of the browser
-caches on both client-state backends.
+events must agree.  A differential test drives the same fills into a
+pool read by the chain index and into one reporting to a
+``BrowserIndex``: every lookup, failover list and counter must agree,
+and every live slot must sit on exactly its document's holder chain.
+After a real BAPS replay, the exact invalidation index's visible
+entries must equal a walk of the browser caches on both client-state
+backends.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cache import FlatBrowsers, LRUCache
-from repro.cache.flat import DOC_BITS
+from repro.cache.flat import DOC_BITS, DOC_MASK
 from repro.core import Organization, SimulationConfig
 from repro.core.simulator import Simulator
 from repro.core.stream_engine import StreamSimulator
+from repro.index import BrowserIndex
+from repro.index.chain import ChainIndex
 from tests.conftest import example_budget
 
 BAPS = Organization.BROWSERS_AWARE_PROXY
@@ -46,8 +52,9 @@ def walk(flat: FlatBrowsers, c: int) -> list[tuple[int, int, int]]:
     items, prev, slot = [], -1, flat.head[c]
     while slot >= 0:
         assert flat.e_prev[slot] == prev
-        assert flat.slot_of[(c << DOC_BITS) | flat.e_doc[slot]] == slot
-        items.append((flat.e_doc[slot], flat.e_size[slot], flat.e_ver[slot]))
+        key = flat.e_key[slot]
+        assert key >> DOC_BITS == c and flat.slot_of[key] == slot
+        items.append((key & DOC_MASK, flat.e_size[slot], flat.e_ver[slot]))
         prev, slot = slot, flat.e_next[slot]
     assert flat.tail[c] == prev
     return items
@@ -111,7 +118,7 @@ def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, ttl, indexed):
             ]
             assert flat.used[c] == model.used
         # Freed slots are reused before the pool grows.
-        assert len(flat.e_doc) == peak
+        assert len(flat.e_key) == peak
         assert sorted(flat.free + list(flat.slot_of.values())) == list(range(peak))
     assert got == (want if indexed else [])
 
@@ -139,6 +146,74 @@ def test_oversized_refresh_is_reported_twice():
     ]
     assert walk(flat, 0) == [] and flat.used[0] == 0
     assert sorted(flat.free) == [0, 1]
+
+
+def chained(flat: FlatBrowsers) -> dict[int, list[int]]:
+    """doc -> the slots on its holder chain, newest first, checking the
+    back links, the documents and that no slot is on two chains."""
+    chains, seen = {}, set()
+    for doc, slot in flat.chain_head.items():
+        slots, prev = [], -1
+        while slot >= 0:
+            assert flat.e_hprev[slot] == prev and slot not in seen
+            assert flat.e_key[slot] & DOC_MASK == doc
+            seen.add(slot)
+            slots.append(slot)
+            prev, slot = slot, flat.e_hnext[slot]
+        assert slots, doc  # no empty chain stays headed
+        chains[doc] = slots
+    return chains
+
+
+@given(
+    caps=st.lists(
+        st.sampled_from([0, 30, 60, 100]), min_size=N_CLIENTS, max_size=N_CLIENTS
+    ),
+    ops=st.lists(st.one_of(_fill, _probe), min_size=20, max_size=80),
+)
+@settings(max_examples=example_budget(100), deadline=None)
+def test_chain_index_matches_a_browser_index_fed_by_the_fills(caps, ops):
+    """The same fills and probes go into a pool read by a
+    ``ChainIndex`` (no event handles) and into a pool reporting to a
+    ``BrowserIndex``; refreshes, version changes and refreshes grown
+    past the capacity are all common at these sizes."""
+    chain_pool, plain_pool = FlatBrowsers(caps), FlatBrowsers(caps)
+    chain, exact = ChainIndex(chain_pool), BrowserIndex(N_CLIENTS)
+    bans = [None, {0}, {1, 2}]
+    for step, op in enumerate(ops):
+        now = float(step)
+        if op[0] == "probe":
+            _, c, d = op
+            assert chain_pool.probe(c, d) == plain_pool.probe(c, d)
+            continue
+        _, c, d, s, v = op
+        chain_pool.fill(c, d, s, v, now, chain.record_insert, chain.record_evict, None)
+        plain_pool.fill(c, d, s, v, now, exact.record_insert, exact.record_evict, None)
+        for doc in range(5):
+            for version in (None, 0, 1, 2):
+                for exclude in (-1, c):
+                    banned = bans[(doc + step) % len(bans)]
+                    hit = chain.lookup(doc, exclude, now, version, banned)
+                    want = exact.lookup(doc, exclude, now, version, banned)
+                    assert (hit and hit.client) == (want and want.client)
+                    assert chain.candidate_holders(
+                        doc, exclude, now, version, banned
+                    ) == exact.candidate_holders(doc, exclude, now, version, banned)
+        assert chain.banned_candidates_skipped == exact.banned_candidates_skipped
+        assert chain.n_lookups == exact.n_lookups
+        assert chain.n_entries == exact.n_entries == len(chain_pool.slot_of)
+        assert chain.update_messages == exact.update_messages
+        assert chain.footprint_bytes() == exact.footprint_bytes()
+        # Every live slot is on exactly its document's chain.
+        chains = chained(chain_pool)
+        assert sorted(x for slots in chains.values() for x in slots) == sorted(
+            chain_pool.slot_of.values()
+        )
+        for doc, slots in chains.items():
+            assert sorted(chain_pool.e_key[x] >> DOC_BITS for x in slots) == (
+                exact.holders_of(doc)
+            )
+    assert plain_pool.chain_head is None and plain_pool.n_events == 0
 
 
 def _walk_objects(sim: Simulator) -> set[tuple[int, int, int, int]]:
@@ -169,11 +244,27 @@ def test_exact_index_equals_the_browser_caches(small_trace, engine, policy):
     ).with_(browser_policy=policy)
     sim = engine(small_trace, BAPS, config)
     sim.run()
-    assert not sim.index.is_stale
-    visible = {
-        (doc, c, e.version, e.size)
-        for doc, holders in sim.index.export_snapshot().items()
-        for c, e in holders.items()
-    }
+    index = sim.index
+    assert not index.is_stale
+    if engine is StreamSimulator:
+        # the flat backend's exact index is a view of the pool: what it
+        # sees is the holder chains
+        assert isinstance(index, ChainIndex)
+        flat = sim.flat
+        visible = {
+            (doc, flat.e_key[x] >> DOC_BITS, flat.e_ver[x], flat.e_size[x])
+            for doc, slots in chained(flat).items()
+            for x in slots
+        }
+    else:
+        visible = {
+            (doc, c, e.version, e.size)
+            for doc, holders in index.export_snapshot().items()
+            for c, e in holders.items()
+        }
     assert visible and visible == _walk_objects(sim)
-    assert sim.index.n_entries == len(visible)
+    assert index.n_entries == len(visible)
+    for doc in {doc for doc, *_ in visible}:
+        assert index.candidate_holders(doc, -1, 0.0) == sorted(
+            c for d, c, *_ in visible if d == doc
+        )

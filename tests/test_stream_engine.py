@@ -35,9 +35,13 @@ from repro.core import (
     simulate_stream,
 )
 from repro.cache import FlatBrowsers, LRUCache
+from repro.cache.flat import DOC_BITS, DOC_MASK
 from repro.core.simulator import Simulator
 from repro.core.stream_engine import StreamSimulator, check_stream_config
 from repro.federation import FederatedSimulator
+from repro.index import BrowserIndex, IndexEntry
+from repro.index.chain import ChainIndex
+from repro.index.engine_bloom import BloomBrowserIndex
 from repro.index.staleness import PeriodicUpdatePolicy
 from repro.network.ethernet import EthernetModel
 from repro.network.latency import MemoryDiskModel
@@ -281,11 +285,13 @@ def test_flat_state_no_per_client_objects():
 
 def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
     """Truth queries (missed-hit, false-miss and lost-to-recovery
-    checks) answer from the engine's holder map: on a stream + bloom
-    cell the map equals a walk of the slot pool, and a query makes no
+    checks) answer from the engine's holder map, which on the flat
+    backend is the pool's holder chains: on a stream + bloom cell the
+    chains equal a walk of the slot pool, and a query makes no
     ``FlatBrowsers.peek``/``LRUCache.peek`` call.  Cells where no truth
     query can be asked (exact index, no crash recovery, no federation of
-    several proxies) allocate no map."""
+    several proxies) allocate no map, and flat cells keep chains only
+    where the exact index or a truth query reads them."""
     trace = small_trace()
     base = SimulationConfig.relative(trace, 0.10, browser_sizing="minimum")
     baps = Organization.BROWSERS_AWARE_PROXY
@@ -296,9 +302,14 @@ def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
     for c in range(len(flat.caps)):
         slot = flat.head[c]
         while slot >= 0:
-            walked.setdefault(flat.e_doc[slot], {})[c] = flat.e_ver[slot]
+            walked.setdefault(flat.e_key[slot] & DOC_MASK, {})[c] = flat.e_ver[slot]
             slot = flat.e_next[slot]
-    assert walked and sim._holders == walked
+    chained = {}
+    for doc, slot in flat.chain_head.items():
+        while slot >= 0:
+            chained.setdefault(doc, {})[flat.e_key[slot] >> DOC_BITS] = flat.e_ver[slot]
+            slot = flat.e_hnext[slot]
+    assert walked and chained == walked and sim._holders is None
 
     peeks = []
     monkeypatch.setattr(FlatBrowsers, "peek", lambda *a: peeks.append(a) or -1)
@@ -314,16 +325,28 @@ def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
 
     checkpoint_only = base.with_(checkpoint=CheckpointPolicy(interval=60.0))
     for engine in (Simulator, StreamSimulator):
+        flat = engine is StreamSimulator
         for config in (base, checkpoint_only):
             quiet = engine(trace, baps, config)
             quiet.run()
             assert quiet._holders is None
+            if flat:
+                # only the exact index (a chain index on this cell) reads chains
+                chains = quiet.flat.chain_head is not None
+                assert chains == isinstance(quiet.index, ChainIndex) == (config is base)
         for knobs in (
             {"index_kind": "bloom"},
             {"index_update_policy": PeriodicUpdatePolicy(threshold=1.0, min_docs=20)},
             {"proxy_faults": ProxyFaultModel(crash_times=(trace.duration / 2,))},
         ):
-            assert engine(trace, baps, base.with_(**knobs))._holders == {}
+            tracked = engine(trace, baps, base.with_(**knobs))
+            if flat:
+                assert tracked._holders is None and tracked.flat.chain_head == {}
+            else:
+                assert tracked._holders == {}
+    # no index, no reader: the pool keeps no chains
+    no_index = StreamSimulator(trace, Organization.PROXY_AND_LOCAL_BROWSER, base)
+    assert no_index.index is None and no_index.flat.chain_head is None
     for n_proxies in (1, 2):
         federated = FederatedSimulator(
             trace, baps, base.with_(federation=FederationConfig(n_proxies=n_proxies))
@@ -397,6 +420,53 @@ SUPPORTED = {
     ),
 }
 
+#: supported config field -> the index class a flat BAPS cell builds
+#: with its overrides: the chain index (a view of the slot pool), or a
+#: ``BrowserIndex``/``BloomBrowserIndex`` fed by the fills' event handles
+#: where entries need state the slots do not keep (bloom filters,
+#: periodic batches, TTLs, crash snapshots and re-announcements).
+FLAT_INDEX = {
+    **dict.fromkeys(
+        (
+            "proxy_capacity",
+            "browser_capacity",
+            "proxy_policy",
+            "browser_capacities",
+            "cache_remote_hits_at_proxy",
+            "remote_hit_refreshes_holder",
+            "lan",
+            "wan",
+            "storage",
+            "security",
+            "holder_availability",
+            "churn",
+            "max_holder_retries",
+            "corruption_rate",
+            "availability_seed",
+            "adversarial",
+            "quarantine_threshold",
+            "quarantine_decay",
+            "static_blacklist",
+        ),
+        ChainIndex,
+    ),
+    **dict.fromkeys(
+        ("index_kind", "bloom_bits_per_doc", "bloom_rebuild_threshold"),
+        BloomBrowserIndex,
+    ),
+    **dict.fromkeys(
+        (
+            "index_update_policy",
+            "index_entry_ttl",
+            "proxy_faults",
+            "checkpoint",
+            "reannounce_rate",
+            "chaos",
+        ),
+        BrowserIndex,
+    ),
+}
+
 #: rejected config field -> (overrides tripping the rejection, the
 #: knob name the error carries).
 REJECTED = {
@@ -417,6 +487,8 @@ def test_support_matrix_classifies_every_field():
     fields = {f.name for f in dataclasses.fields(SimulationConfig)}
     assert not set(SUPPORTED) & set(REJECTED)
     assert set(SUPPORTED) | set(REJECTED) == fields
+    # ... and, if supported, which index the flat backend builds for it
+    assert set(FLAT_INDEX) == set(SUPPORTED)
 
 
 def _matrix_base() -> SimulationConfig:
@@ -428,6 +500,37 @@ def _matrix_base() -> SimulationConfig:
 @pytest.mark.parametrize("field", sorted(SUPPORTED))
 def test_supported_knob_identical(field):
     assert_identical(MATRIX_TRACE, _matrix_base().with_(**SUPPORTED[field]))
+
+
+@pytest.mark.parametrize("field", sorted(SUPPORTED))
+def test_supported_knob_builds_its_index(field):
+    config = _matrix_base().with_(**SUPPORTED[field])
+    sim = StreamSimulator(MATRIX_TRACE, Organization.BROWSERS_AWARE_PROXY, config)
+    assert type(sim.index) is FLAT_INDEX[field]
+
+
+def test_chain_index_cell_reports_no_browser_event(monkeypatch):
+    """A cell shaped like the streamed 1M-client BAPS cell (exact index,
+    unbounded proxy, 20 kB browsers) replays with every per-event index
+    path disabled, and equals the object engine's replay."""
+    tc = SyntheticTraceConfig(n_requests=3_000, n_clients=300)
+    config = SimulationConfig(proxy_capacity=1_000_000_000, browser_capacity=20_000)
+    baps = Organization.BROWSERS_AWARE_PROXY
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-event index call on a chain-index cell")
+
+    with monkeypatch.context() as patched:
+        for target, name in (
+            (BrowserIndex, "record_insert"),
+            (BrowserIndex, "record_evict"),
+            (IndexEntry, "__init__"),
+        ):
+            patched.setattr(target, name, refuse)
+        flat = simulate_stream(TraceStream(tc, seed=5), baps, config)
+    want = simulate(generate_trace(tc, seed=5), baps, config)
+    assert flat.index_lookups > 0 and flat.overhead.index_update_messages > 0
+    assert dataclasses.asdict(flat) == dataclasses.asdict(want)
 
 
 @pytest.mark.parametrize("field", sorted(REJECTED))
