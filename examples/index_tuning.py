@@ -15,7 +15,7 @@ Run:  python examples/index_tuning.py
 
 from repro import Organization, PeriodicUpdatePolicy, SimulationConfig
 from repro.core.simulator import Simulator
-from repro.index.bloom import BloomIndex
+from repro.index.bloom import BloomFilter
 from repro.traces import SyntheticTraceConfig, generate_trace
 from repro.util.fmt import ascii_table
 from repro.util.rng import make_rng
@@ -67,14 +67,14 @@ def main() -> None:
         "0.000%",
     ]]
     for bits in (8.0, 12.0, 16.0, 24.0):
-        bloom = BloomIndex(len(browsers), per_client, bits_per_doc=bits)
-        for cid, cache in enumerate(browsers):
-            bloom.rebuild(cid, list(cache))
+        filters = [BloomFilter.for_capacity(per_client, bits) for _ in browsers]
+        for summary, cache in zip(filters, browsers):
+            summary.add_many(list(cache))
         negatives = [(c, d) for c, d in probes if (c, d) not in cached]
-        fp = sum(1 for c, d in negatives if bloom.claims(c, d)) / len(negatives)
+        fp = sum(1 for c, d in negatives if d in filters[c]) / len(negatives)
+        footprint = sum(f.size_bytes for f in filters)
         rows.append(
-            [f"bloom {bits:g} bits/doc", f"{bloom.footprint_bytes() / 1e3:.0f} KB",
-             f"{fp:.3%}"]
+            [f"bloom {bits:g} bits/doc", f"{footprint / 1e3:.0f} KB", f"{fp:.3%}"]
         )
     print()
     print(ascii_table(

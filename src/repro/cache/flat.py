@@ -149,11 +149,6 @@ class FlatBrowsers:
             tail[c] = slot
         return slot
 
-    def peek(self, c: int, d: int) -> int:
-        """Membership probe without touching recency; slot or -1."""
-        slot = self.slot_of.get((c << DOC_BITS) | d)
-        return -1 if slot is None else slot
-
     def fill(
         self,
         c: int,
@@ -163,21 +158,19 @@ class FlatBrowsers:
         now: float,
         on_insert,
         on_evict,
-        ttl: float | None,
     ) -> None:
         """Insert or refresh (doc *d*, size *s*, version *v*) in client
         *c*'s cache — exactly ``LRUCache.put`` — and report the index
         events it causes, in the put's own order:
         ``on_evict(c, victim, now)`` per victim from the LRU end, then
-        ``on_insert(c, d, v, s, now, ttl, already)`` if *d* is cached
+        ``on_insert(c, d, v, s, now, already)`` if *d* is cached
         (*already*: it was cached before).  A refresh grown beyond the
         capacity evicts *d* itself, which is reported twice: once as
         the put's victim and once as the refused refresh, as the
         object backend reports it.  A new document larger than the
         capacity is refused without an event.  Either handle may be
-        ``None`` (no index, or one that reads the holder chains);
-        *ttl* is the index entry lifetime passed on to ``on_insert``.
-        Kept chains gain new slots and lose victims; ``n_events`` counts."""
+        ``None`` (no index, or one that reads the holder chains).  Kept
+        chains gain new slots and lose victims; ``n_events`` counts."""
         key = (c << DOC_BITS) | d
         slot_of = self.slot_of
         slot = slot_of.get(key)
@@ -290,4 +283,4 @@ class FlatBrowsers:
         if chains is not None:
             self.n_events += events
         if on_insert is not None:
-            on_insert(c, d, v, s, now, ttl, already)
+            on_insert(c, d, v, s, now, already)

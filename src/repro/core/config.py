@@ -167,29 +167,12 @@ class SimulationConfig:
     #: practice"; 1.0 models the memory-resident browser cache).
     #: ``None`` means same as ``memory_fraction``.
     browser_memory_fraction: float | None = None
-    #: per-client browser capacities (bytes), overriding the uniform
-    #: ``browser_capacity`` — models the paper's §1 point that users set
-    #: browser cache sizes individually.  Length must cover the trace's
-    #: client count.
-    browser_capacities: tuple[int, ...] | None = None
     #: browser-index representation: ``"exact"`` (per-entry directory)
     #: or ``"bloom"`` (Summary-Cache per-client Bloom filters).
     index_kind: str = "exact"
     #: browser-index maintenance (exact kind only): ``None`` =
     #: invalidation-based; a policy = periodic (stale) updates.
     index_update_policy: PeriodicUpdatePolicy | None = None
-    #: Bloom index parameters (bloom kind only).
-    bloom_bits_per_doc: float = 16.0
-    bloom_rebuild_threshold: float = 0.10
-    #: TTL attached to browser-index entries (seconds); expired entries
-    #: are never offered for peer sharing ("a time stamp of the file or
-    #: the TTL provided by the data source").  ``None`` = no expiry.
-    index_entry_ttl: float | None = None
-    #: whether a remote-browser hit also populates the proxy cache
-    #: (the paper's fetch-and-forward alternative).
-    cache_remote_hits_at_proxy: bool = False
-    #: whether serving a remote hit refreshes the holder's LRU state.
-    remote_hit_refreshes_holder: bool = True
     #: timing models for the overhead report.
     lan: EthernetModel = field(default_factory=EthernetModel)
     wan: WANModel = field(default_factory=WANModel)
@@ -253,13 +236,9 @@ class SimulationConfig:
     #: single global ``corruption_rate`` draw (bit-identical goldens).
     adversarial: "AdversarialConfig | None" = None
     #: reputation defense: quarantine a holder after this many integrity
-    #: failures — the index then skips it as a remote-hit candidate.
-    #: 0 = defense off.
+    #: failures — the index then skips it as a remote-hit candidate for
+    #: the rest of the replay.  0 = defense off.
     quarantine_threshold: int = 0
-    #: re-admission window (virtual seconds): a quarantined holder is
-    #: forgiven after this long without serving.  ``None`` = permanent
-    #: quarantine.  Requires ``quarantine_threshold > 0``.
-    quarantine_decay: float | None = None
     #: holders excluded from remote-hit candidacy for the whole replay —
     #: the oracle-defense anchor (e.g. exactly the polluter ids from
     #: :meth:`~repro.adversarial.PeerPopulation.for_simulation`).
@@ -283,16 +262,6 @@ class SimulationConfig:
             )
         if self.index_kind == "bloom" and self.index_update_policy is not None:
             raise ValueError("the bloom index has its own rebuild policy")
-        if self.browser_capacities is not None:
-            if any(c < 0 for c in self.browser_capacities):
-                raise ValueError("browser_capacities must be non-negative")
-            object.__setattr__(
-                self, "browser_capacities", tuple(self.browser_capacities)
-            )
-        if self.index_entry_ttl is not None and self.index_entry_ttl <= 0:
-            raise ValueError(
-                f"index_entry_ttl must be > 0, got {self.index_entry_ttl}"
-            )
         if not (0.0 <= self.holder_availability <= 1.0):
             raise ValueError(
                 f"holder_availability must be in [0, 1], got {self.holder_availability}"
@@ -316,7 +285,7 @@ class SimulationConfig:
                 "the tiered model"
             )
         check_reannounce_rate(self.reannounce_rate)
-        check_quarantine(self.quarantine_threshold, self.quarantine_decay)
+        check_quarantine(self.quarantine_threshold)
         if self.static_blacklist is not None:
             if any(c < 0 for c in self.static_blacklist):
                 raise ValueError(

@@ -273,25 +273,33 @@ class JournalWriter:
 # -- reading ----------------------------------------------------------------
 
 
+def _discard(path, where: str) -> None:
+    log.warning(
+        "journal %s: discarding corrupt record at %s "
+        "(likely a crash mid-write); the cell will be re-run",
+        path,
+        where,
+    )
+
+
 def read_journal(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield journal records; skips blank and truncated/corrupt lines
     with a warning (a crash mid-write must not make the journal
-    unreadable — the torn trailing record is simply re-simulated)."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    unreadable — the torn trailing record is simply re-simulated).  A
+    line is corrupt unless it is UTF-8 text holding one JSON object."""
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
                 continue
             try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                log.warning(
-                    "journal %s: discarding corrupt record at line %d "
-                    "(likely a crash mid-write); the cell will be re-run",
-                    path,
-                    lineno,
-                )
-                continue
+                record = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                record = None
+            if isinstance(record, dict):
+                yield record
+            else:
+                _discard(path, f"line {lineno}")
 
 
 def load_completed_results(path: str | Path) -> dict[CellKey, SimulationResult]:
@@ -299,18 +307,23 @@ def load_completed_results(path: str | Path) -> dict[CellKey, SimulationResult]:
 
     Later records win, so a journal that was itself produced by a
     resumed run (containing both ``resumed`` re-records and fresh
-    results) loads cleanly.
+    results) loads cleanly.  A result record missing its identity or
+    holding a result that does not rebuild is discarded with the same
+    warning as a corrupt line, and its cell re-runs.
     """
     completed: dict[CellKey, SimulationResult] = {}
     for record in read_journal(path):
         if record.get("kind") != "result":
             continue
-        key = cell_key(
-            record["trace"],
-            record["organization"],
-            record["fraction"],
-            record["seed"],
-            record.get("config", ""),
-        )
-        completed[key] = result_from_jsonable(record["result"])
+        try:
+            key = cell_key(
+                record["trace"],
+                record["organization"],
+                record["fraction"],
+                record["seed"],
+                record.get("config", ""),
+            )
+            completed[key] = result_from_jsonable(record["result"])
+        except (KeyError, TypeError, ValueError, AttributeError):
+            _discard(path, f"result record of cell {record.get('cell')!r}")
     return completed

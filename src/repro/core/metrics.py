@@ -210,8 +210,7 @@ class SimulationResult:
     #: counts once).
     poisoned_requests: int = 0
     #: quarantine events: a holder crossing ``quarantine_threshold``
-    #: integrity failures and being blacklisted.  A holder re-admitted
-    #: after ``quarantine_decay`` and quarantined again counts again.
+    #: integrity failures and being blacklisted.
     quarantined_peers: int = 0
     #: remote hits served after the blacklist filtered at least one
     #: quarantined candidate out of the index lookup — requests the

@@ -98,12 +98,8 @@ class ReferenceIndexEntry:
     version: int
     size: int
     timestamp: float
-    ttl: float | None = None
 
     WIRE_BYTES = 28
-
-    def expired(self, now: float) -> bool:
-        return self.ttl is not None and now > self.timestamp + self.ttl
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class ReferenceBrowserIndex:
 
     Verbatim copy of :class:`repro.index.browser_index.BrowserIndex`
     as it stood before the hot-path pass (no invalidation fast paths,
-    per-candidate ``expired`` method calls, frozen entry dataclasses).
+    frozen entry dataclasses).
     Running it under the differential harness pins the optimized
     index's semantics — holder choice, staleness accounting, message
     counts — to the original, and keeps the benchmark baseline honest:
@@ -174,11 +170,10 @@ class ReferenceBrowserIndex:
         version: int,
         size: int,
         now: float,
-        ttl: float | None = None,
         replace: bool = False,
     ) -> None:
         entry = ReferenceIndexEntry(
-            client=client, doc=doc, version=version, size=size, timestamp=now, ttl=ttl
+            client=client, doc=doc, version=version, size=size, timestamp=now
         )
         self.n_insert_events += 1
         state = self._client_state[client]
@@ -263,7 +258,6 @@ class ReferenceBrowserIndex:
             (c, e)
             for c, e in holders.items()
             if c != exclude_client
-            and not e.expired(now)
             and (version is None or e.version == version)
         ]
         if not candidates:
@@ -291,7 +285,6 @@ class ReferenceBrowserIndex:
             c
             for c, e in holders.items()
             if c != exclude_client
-            and not e.expired(now)
             and (version is None or e.version == version)
         )
 
@@ -312,7 +305,6 @@ class ReferenceBrowserIndex:
         client: int,
         items,
         now: float,
-        ttl: float | None = None,
     ) -> int:
         for doc in list(self._visible):
             holders = self._visible[doc]
@@ -334,7 +326,6 @@ class ReferenceBrowserIndex:
                 version=version,
                 size=size,
                 timestamp=now,
-                ttl=ttl,
             )
             n_items += 1
         state = self._client_state[client]
@@ -392,10 +383,9 @@ class ReferenceSimulator:
             else config.memory_fraction
         )
         if self.features.has_browsers:
-            capacities = self._browser_capacities(n_clients)
             self.browsers = [
-                self._new_cache(config.browser_policy, capacities[c], browser_mem)
-                for c in range(n_clients)
+                self._new_cache(config.browser_policy, config.browser_capacity, browser_mem)
+                for _ in range(n_clients)
             ]
         else:
             self.browsers = []
@@ -462,17 +452,6 @@ class ReferenceSimulator:
 
     # -- construction helpers ------------------------------------------------
 
-    def _browser_capacities(self, n_clients: int) -> list[int]:
-        caps = self.config.browser_capacities
-        if caps is None:
-            return [self.config.browser_capacity] * n_clients
-        if len(caps) < n_clients:
-            raise ValueError(
-                f"browser_capacities covers {len(caps)} clients but the trace "
-                f"has {n_clients}"
-            )
-        return list(caps[:n_clients])
-
     def _new_cache(self, policy: str, capacity: int, memory_fraction: float | None):
         if self._tiered:
             return TieredLRUCache(capacity, memory_fraction)
@@ -485,19 +464,8 @@ class ReferenceSimulator:
         config = self.config
         if config.index_kind == "bloom":
             avg_doc = max(1, int(self.trace.sizes.mean())) if len(self.trace) else 1
-            capacities = self._browser_capacities(n_clients)
-            mean_capacity = (
-                int(sum(capacities) / len(capacities))
-                if capacities
-                else config.browser_capacity
-            )
-            expected = max(8, mean_capacity // avg_doc)
-            return BloomBrowserIndex(
-                n_clients,
-                expected_docs_per_client=expected,
-                bits_per_doc=config.bloom_bits_per_doc,
-                rebuild_threshold=config.bloom_rebuild_threshold,
-            )
+            expected = max(8, config.browser_capacity // avg_doc)
+            return BloomBrowserIndex(n_clients, expected_docs_per_client=expected)
         if config.index_update_policy is None:
             return ReferenceBrowserIndex(n_clients, UpdateMode.INVALIDATION)
         return ReferenceBrowserIndex(
@@ -520,12 +488,6 @@ class ReferenceSimulator:
                 return None, None
             return entry, tier.value == "memory"
         return cache.get(key), None
-
-    def _peek_tier(self, cache, key: int):
-        if self._tiered:
-            tier = cache.tier_of(key)
-            return None if tier is None else tier.value == "memory"
-        return None
 
     def _holder_online(self, holder: int, now: float) -> bool:
         if self._churn is not None:
@@ -554,12 +516,7 @@ class ReferenceSimulator:
             overhead.wasted_round_trip_time += lan.connection_setup
             overhead.wasted_offline_time += lan.connection_setup
             return False, None
-        holder_cache = self.browsers[holder]
-        if config.remote_hit_refreshes_holder:
-            held, memory = self._get(holder_cache, d)
-        else:
-            held = holder_cache.peek(d)
-            memory = self._peek_tier(holder_cache, d)
+        held, memory = self._get(self.browsers[holder], d)
         if held is None or held.version != v:
             self.index.record_false_hit(holder, d)
             result.index_false_hits += 1
@@ -631,13 +588,7 @@ class ReferenceSimulator:
             cache.put(doc, size, version)
             if doc in cache:
                 self.index.record_insert(
-                    client,
-                    doc,
-                    version,
-                    size,
-                    now,
-                    ttl=self.config.index_entry_ttl,
-                    replace=already,
+                    client, doc, version, size, now, replace=already
                 )
             elif already:
                 self.index.record_evict(client, doc, now)
@@ -718,7 +669,6 @@ class ReferenceSimulator:
     def _apply_reannouncements(self, t: float) -> None:
         pending = self._pending_reannounce
         pos = self._reannounce_pos
-        ttl = self.config.index_entry_ttl
         while pos < len(pending) and pending[pos][0] <= t:
             due, cid = pending[pos]
             cache = self.browsers[cid]
@@ -726,7 +676,7 @@ class ReferenceSimulator:
             for doc in cache:
                 entry = cache.peek(doc)
                 items.append((doc, entry.version, entry.size))
-            self.index.reannounce(cid, items, due, ttl=ttl)
+            self.index.reannounce(cid, items, due)
             pos += 1
         self._reannounce_pos = pos
 
@@ -788,8 +738,6 @@ class ReferenceSimulator:
                 if remote_served:
                     if features.caches_remote_fetches:
                         self._browser_put(c, d, s, v, t)
-                        if config.cache_remote_hits_at_proxy and proxy is not None:
-                            proxy.put(d, s, v)
                     self._track_index_peak()
                     continue
 
@@ -901,9 +849,6 @@ class ReferenceSimulator:
                     if features.caches_remote_fetches:
                         self._browser_put(c, d, s, v, t)
                         stamp(browsers[c], d, t, last_mod)
-                        if config.cache_remote_hits_at_proxy and proxy is not None:
-                            proxy.put(d, s, v)
-                            stamp(proxy, d, t, last_mod)
                     served = True
                     self._track_index_peak()
 

@@ -165,9 +165,7 @@ def _dense_client_count(trace: Trace) -> int:
 dense_client_count = _dense_client_count
 
 
-def bloom_expected_docs(
-    trace: Trace, capacities, fallback_capacity: int
-) -> int:
+def bloom_expected_docs(trace: Trace, browser_capacity: int) -> int:
     """Expected documents per client for bloom-filter sizing.
 
     The single sizing rule shared by the per-client summary filters of
@@ -180,11 +178,7 @@ def bloom_expected_docs(
     sees.
     """
     avg_doc = max(1, int(trace.mean_request_size)) if len(trace) else 1
-    capacities = list(capacities)
-    mean_capacity = (
-        int(sum(capacities) / len(capacities)) if capacities else fallback_capacity
-    )
-    return max(8, mean_capacity // avg_doc)
+    return max(8, browser_capacity // avg_doc)
 
 
 class Simulator:
@@ -241,13 +235,12 @@ class Simulator:
         self.browsers = []
         self.flat = None
         if self.features.has_browsers:
-            capacities = self._browser_capacities(n_clients)
             if self.flat_clients:
-                self.flat = FlatBrowsers(capacities)
+                self.flat = FlatBrowsers([config.browser_capacity] * n_clients)
             else:
                 self.browsers = [
-                    self._new_cache(config.browser_policy, capacities[c], browser_mem)
-                    for c in range(n_clients)
+                    self._new_cache(config.browser_policy, config.browser_capacity, browser_mem)
+                    for _ in range(n_clients)
                 ]
 
         self.proxy = (
@@ -334,7 +327,6 @@ class Simulator:
             config.quarantine_threshold > 0 or bool(config.static_blacklist)
         )
         self._banned_set: set[int] = set(config.static_blacklist or ())
-        self._quarantined_at: dict[int, float] = {}
         self._integrity_strikes: dict[int, int] = {}
         self._lookup_skipped_banned = False
         self._request_poisoned = False
@@ -378,17 +370,6 @@ class Simulator:
 
     # -- construction helpers ------------------------------------------------
 
-    def _browser_capacities(self, n_clients: int) -> list[int]:
-        caps = self.config.browser_capacities
-        if caps is None:
-            return [self.config.browser_capacity] * n_clients
-        if len(caps) < n_clients:
-            raise ValueError(
-                f"browser_capacities covers {len(caps)} clients but the trace "
-                f"has {n_clients}"
-            )
-        return list(caps[:n_clients])
-
     def _new_cache(self, policy: str, capacity: int, memory_fraction: float | None):
         if self._tiered:
             return TieredLRUCache(capacity, memory_fraction)
@@ -397,24 +378,17 @@ class Simulator:
     def _new_index(self, n_clients: int):
         config = self.config
         if config.index_kind == "bloom":
-            # Size filters from the capacities actually deployed: with
-            # heterogeneous ``browser_capacities`` the uniform
-            # ``browser_capacity`` may be wildly off, skewing the bloom
-            # false-positive rate for fig-8-style runs.
-            expected = bloom_expected_docs(
-                self.trace, self._browser_capacities(n_clients), config.browser_capacity
-            )
             return BloomBrowserIndex(
                 n_clients,
-                expected_docs_per_client=expected,
-                bits_per_doc=config.bloom_bits_per_doc,
-                rebuild_threshold=config.bloom_rebuild_threshold,
+                expected_docs_per_client=bloom_expected_docs(
+                    self.trace, config.browser_capacity
+                ),
             )
         if config.index_update_policy is None:
-            if self.flat is not None and config.index_entry_ttl is None and (
+            if self.flat is not None and (
                 self._fault_schedule is None and self._checkpointer is None
             ):
-                # a pool view: TTLs and crash snapshots need per-entry state
+                # a pool view: crash snapshots need per-entry state
                 return ChainIndex(self.flat)
             return BrowserIndex(n_clients, UpdateMode.INVALIDATION)
         return BrowserIndex(
@@ -461,7 +435,6 @@ class Simulator:
         version: int,
         size: int,
         now: float,
-        ttl: float | None = None,
         replace: bool = False,
     ) -> None:
         """``index.record_insert``, recording the copy in the holder map."""
@@ -470,7 +443,7 @@ class Simulator:
             self._holders[doc] = {client: version}
         else:
             held[client] = version
-        self.index.record_insert(client, doc, version, size, now, ttl, replace)
+        self.index.record_insert(client, doc, version, size, now, replace)
 
     def _holder_evict(self, client: int, doc: int, now: float) -> None:
         """``index.record_evict``, dropping the copy from the holder map
@@ -491,12 +464,6 @@ class Simulator:
                 return None, None
             return entry, tier.value == "memory"
         return cache.get(key), None
-
-    def _peek_tier(self, cache, key: int):
-        if self._tiered:
-            tier = cache.tier_of(key)
-            return None if tier is None else tier.value == "memory"
-        return None
 
     def _holder_online(self, holder: int, now: float) -> bool:
         """Client churn: is *holder* reachable at virtual time *now*?"""
@@ -550,30 +517,16 @@ class Simulator:
 
     # -- reputation / quarantine defense -------------------------------------
 
-    def _record_integrity_failure(self, holder: int, t: float) -> None:
+    def _record_integrity_failure(self, holder: int) -> None:
         """One more strike against *holder*; quarantine at the threshold."""
         strikes = self._integrity_strikes.get(holder, 0) + 1
         if strikes >= self.config.quarantine_threshold:
             if holder not in self._banned_set:
                 self._banned_set.add(holder)
-                self._quarantined_at[holder] = t
                 self.result.quarantined_peers += 1
-            # Re-admission after decay starts from a clean slate.
             self._integrity_strikes[holder] = 0
         else:
             self._integrity_strikes[holder] = strikes
-
-    def _active_banned(self, t: float):
-        """The blacklist at time *t*, purging decayed quarantines."""
-        decay = self.config.quarantine_decay
-        if decay is not None and self._quarantined_at:
-            expired = [
-                h for h, at in self._quarantined_at.items() if t >= at + decay
-            ]
-            for h in expired:
-                del self._quarantined_at[h]
-                self._banned_set.discard(h)
-        return self._banned_set
 
     def _guarded_lookup_fn(self, index):
         """The ``index.lookup`` binding for the replay loop.
@@ -589,10 +542,10 @@ class Simulator:
         if not self._quarantine_active:
             return index.lookup
         lookup = index.lookup
+        banned = self._banned_set
 
         def guarded(d, c, t, v):
             self._lookup_skipped_banned = False
-            banned = self._active_banned(t)
             if not banned:
                 return lookup(d, c, t, v)
             before = index.banned_candidates_skipped
@@ -629,19 +582,11 @@ class Simulator:
             return False, None
         flat = self.flat
         if flat is not None:
-            if config.remote_hit_refreshes_holder:
-                slot = flat.probe(holder, d)
-            else:
-                slot = flat.peek(holder, d)
+            slot = flat.probe(holder, d)
             held = flat.e_ver[slot] if slot >= 0 else None
             memory = None
         else:
-            holder_cache = self.browsers[holder]
-            if config.remote_hit_refreshes_holder:
-                entry, memory = self._get(holder_cache, d)
-            else:
-                entry = holder_cache.peek(d)
-                memory = self._peek_tier(holder_cache, d)
+            entry, memory = self._get(self.browsers[holder], d)
             held = entry.version if entry is not None else None
         if held != v:
             # Stale index: the holder no longer has this document.
@@ -663,7 +608,7 @@ class Simulator:
                 if population.is_polluter(holder):
                     result.corrupt_deliveries += 1
             if config.quarantine_threshold > 0:
-                self._record_integrity_failure(holder, t)
+                self._record_integrity_failure(holder)
             cost = lan.transfer_time(s)
             if self._security is not None:
                 cost += self._security.verify_cost(s)
@@ -785,15 +730,7 @@ class Simulator:
         cache.put(doc, size, version)
         # An oversized object is refused; only index what is cached.
         if doc in cache:
-            self._record_insert(
-                client,
-                doc,
-                version,
-                size,
-                now,
-                ttl=self.config.index_entry_ttl,
-                replace=already,
-            )
+            self._record_insert(client, doc, version, size, now, replace=already)
         elif already:
             self._record_evict(client, doc, now)
 
@@ -904,7 +841,6 @@ class Simulator:
         """
         pending = self._pending_reannounce
         pos = self._reannounce_pos
-        ttl = self.config.index_entry_ttl
         flat = self.flat
         while pos < len(pending) and pending[pos][0] <= t:
             due, cid = pending[pos]
@@ -920,7 +856,7 @@ class Simulator:
                 for doc in cache:
                     entry = cache.peek(doc)
                     items.append((doc, entry.version, entry.size))
-            self.index.reannounce(cid, items, due, ttl=ttl)
+            self.index.reannounce(cid, items, due)
             pos += 1
         self._reannounce_pos = pos
 
@@ -1072,9 +1008,6 @@ class Simulator:
         has_browsers = features.has_browsers
         has_proxy = proxy is not None
         caches_remote = features.caches_remote_fetches
-        remote_to_proxy = (
-            caches_remote and config.cache_remote_hits_at_proxy and has_proxy
-        )
 
         # Inlined timing models.  The arithmetic below replicates
         # EthernetModel.transfer_time, WANModel.fetch_time, and
@@ -1104,7 +1037,6 @@ class Simulator:
         # exact semantics of LRUCache.get.
         lru_b = browser_entries is not None and config.browser_policy == "lru"
         lru_p = proxy_entries is not None
-        index_ttl = config.index_entry_ttl
         security = self._security
         sec_transfer = security.transfer_cost if security is not None else None
         # Expiration-based coherence, bound once: without a policy a
@@ -1287,7 +1219,7 @@ class Simulator:
                         security_time += sec_transfer(s)
                     via = "remote_delivery"
                     ver = v
-                    to_proxy = remote_to_proxy
+                    to_proxy = False
                     to_browser = caches_remote
 
             # 4. peer proxies whose digest claims the document (federation)
@@ -1368,7 +1300,7 @@ class Simulator:
                     stamp(proxy, d, t, last_mod)
             if to_browser:
                 if flat_fill is not None:
-                    flat_fill(c, d, s, ver, t, record_insert, record_evict, index_ttl)
+                    flat_fill(c, d, s, ver, t, record_insert, record_evict)
                 elif lru_b:
                     # inlined LRUCache.put, reporting its index events
                     # itself: each victim, then the insert
@@ -1408,9 +1340,7 @@ class Simulator:
                         else:
                             # no break: d stayed cached
                             if record_insert is not None:
-                                record_insert(
-                                    c, d, ver, s, t, index_ttl, old is not None
-                                )
+                                record_insert(c, d, ver, s, t, old is not None)
                         bcache.used = bused
                 elif browser_puts is None:
                     browser_put(c, d, s, ver, t)
@@ -1424,7 +1354,7 @@ class Simulator:
                     sim._now = t
                     browser_puts[c](d, s, ver)
                     if d in bce:
-                        record_insert(c, d, ver, s, t, index_ttl, already)
+                        record_insert(c, d, ver, s, t, already)
                     elif already:
                         record_evict(c, d, t)
                 if stamp is not None:

@@ -21,7 +21,7 @@ from repro.core.config import SimulationConfig
 from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization
 from repro.core.simulator import Simulator
-from repro.index.bloom import BloomIndex
+from repro.index.bloom import BloomFilter
 from repro.index.staleness import PeriodicUpdatePolicy
 from repro.traces.profiles import load_paper_trace
 from repro.util.fmt import ascii_table
@@ -95,11 +95,13 @@ def run(
     # Bloom summaries rebuilt from the final true browser contents.
     browsers = exact_sim.browsers
     per_client = max(1, max((len(c) for c in browsers), default=1))
-    bloom = BloomIndex(len(browsers), per_client, bits_per_doc=bits_per_doc)
+    filters = []
     cached: set[tuple[int, int]] = set()
     for cid, cache in enumerate(browsers):
         docs = list(cache)
-        bloom.rebuild(cid, docs)
+        summary = BloomFilter.for_capacity(per_client, bits_per_doc)
+        summary.add_many(docs)
+        filters.append(summary)
         cached.update((cid, d) for d in docs)
 
     # False-positive probe: random (client, doc) pairs that are *not*
@@ -114,7 +116,7 @@ def run(
         if (cid, doc) in cached:
             continue
         probes += 1
-        if bloom.claims(cid, doc):
+        if doc in filters[cid]:
             false_pos += 1
     fp_rate = false_pos / probes if probes else 0.0
 
@@ -123,6 +125,6 @@ def run(
         exact=exact,
         periodic=periodic,
         exact_footprint_bytes=exact.index_peak_footprint_bytes,
-        bloom_footprint_bytes=bloom.footprint_bytes(),
+        bloom_footprint_bytes=sum(f.size_bytes for f in filters),
         bloom_false_positive_rate=fp_rate,
     )

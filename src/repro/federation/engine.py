@@ -186,11 +186,7 @@ class FederatedSimulator:
         if self.features.has_proxy:
             capacity += max(1, self.base.proxy_capacity // avg_doc)
         if self.features.has_browsers and self.features.has_index:
-            per_client = bloom_expected_docs(
-                trace,
-                self.sims[0]._browser_capacities(self.n_clients),
-                self.base.browser_capacity,
-            )
+            per_client = bloom_expected_docs(trace, self.base.browser_capacity)
             members = -(-self.n_clients // self.fed.n_proxies)  # ceil
             capacity += per_client * members
         return max(8, capacity)

@@ -22,7 +22,7 @@ index memory.
 from repro.index.entry import IndexEntry
 from repro.index.browser_index import BrowserIndex, IndexLookup, UpdateMode
 from repro.index.signatures import url_signature, IndexSpaceModel
-from repro.index.bloom import BloomFilter, BloomIndex
+from repro.index.bloom import BloomFilter
 from repro.index.staleness import PeriodicUpdatePolicy, StalenessStats
 from repro.index.checkpoint import CheckpointPolicy, IndexCheckpointer, IndexSnapshot
 
@@ -34,7 +34,6 @@ __all__ = [
     "url_signature",
     "IndexSpaceModel",
     "BloomFilter",
-    "BloomIndex",
     "PeriodicUpdatePolicy",
     "StalenessStats",
     "CheckpointPolicy",

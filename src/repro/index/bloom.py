@@ -3,11 +3,12 @@
 The paper cites Fan et al.'s Summary Cache and the URL-compression work
 of Michel et al. as ways to shrink the browser index ("a storage of
 2 MB is sufficient for the 100 browsers with a tolerant inaccuracy").
-:class:`BloomIndex` keeps one Bloom filter per client; membership
-queries can return false positives (the "tolerant inaccuracy"), never
-false negatives — unless deletions have occurred since the last
-rebuild, which is exactly the staleness the periodic update mode
-models.
+:class:`BloomFilter` is one such summary; the browser index keeps one
+per client (:class:`~repro.index.engine_bloom.BloomBrowserIndex`).
+Membership queries can return false positives (the "tolerant
+inaccuracy"), never false negatives — unless deletions have occurred
+since the last rebuild, which is exactly the staleness the periodic
+update mode models.
 
 Hashing uses double hashing over a 64-bit mix of the key (Kirsch &
 Mitzenmacher: two independent hashes generate k), so a single-key add
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["BloomFilter", "BloomIndex", "key_positions", "key_words", "set_key_bits"]
+__all__ = ["BloomFilter", "key_positions", "key_words", "set_key_bits"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -258,63 +259,3 @@ class BloomFilter:
     def size_bytes(self) -> int:
         return self._bits.nbytes
 
-
-class BloomIndex:
-    """Per-client Bloom summaries of browser caches.
-
-    A compressed alternative to the exact
-    :class:`~repro.index.browser_index.BrowserIndex`: lookups return
-    *candidate* holders which the engine must validate against the true
-    caches (a false positive behaves exactly like a stale-index false
-    hit).  Deletions are handled by periodic rebuild from the true
-    cache contents, as Summary Cache does.
-    """
-
-    def __init__(
-        self,
-        n_clients: int,
-        expected_docs_per_client: int,
-        bits_per_doc: float = 16.0,
-    ) -> None:
-        check_positive("n_clients", n_clients)
-        check_positive("expected_docs_per_client", expected_docs_per_client)
-        self.n_clients = n_clients
-        self._filters = [
-            BloomFilter.for_capacity(expected_docs_per_client, bits_per_doc)
-            for _ in range(n_clients)
-        ]
-        self._rr = 0
-
-    def add(self, client: int, doc: int) -> None:
-        self._filters[client].add(doc)
-
-    def rebuild(self, client: int, docs) -> None:
-        """Reset *client*'s filter from its true cache contents."""
-        f = self._filters[client]
-        f.clear()
-        f.add_many(docs)
-
-    def claims(self, client: int, doc: int) -> bool:
-        """Whether *client*'s summary claims *doc* (may be a false
-        positive)."""
-        return doc in self._filters[client]
-
-    def candidates(self, doc: int, exclude_client: int) -> list[int]:
-        """Clients whose summaries claim *doc* (may include false
-        positives)."""
-        return [
-            c
-            for c in range(self.n_clients)
-            if c != exclude_client and doc in self._filters[c]
-        ]
-
-    def choose(self, doc: int, exclude_client: int) -> int | None:
-        """Round-robin choice among candidate holders."""
-        cands = self.candidates(doc, exclude_client)
-        if not cands:
-            return None
-        self._rr += 1
-        return cands[self._rr % len(cands)]
-
-    def footprint_bytes(self) -> int:
-        return sum(f.size_bytes for f in self._filters)

@@ -126,7 +126,6 @@ class BrowserIndex:
         version: int,
         size: int,
         now: float,
-        ttl: float | None = None,
         replace: bool = False,
     ) -> None:
         """A document entered *client*'s browser cache.
@@ -144,14 +143,14 @@ class BrowserIndex:
                 self._visible[doc] = holders = {}
             if client not in holders:
                 self.n_entries += 1
-            holders[client] = IndexEntry(client, doc, version, size, now, ttl)
+            holders[client] = IndexEntry(client, doc, version, size, now)
             if self._restored:
                 self._restored.discard((doc, client))
             return
         state = self._state_of(client)
         if not replace:
             state.cached_docs += 1
-        self._pending_of(client)[doc] = IndexEntry(client, doc, version, size, now, ttl)
+        self._pending_of(client)[doc] = IndexEntry(client, doc, version, size, now)
         state.pending_changes += 1
         self._maybe_flush(client, now)
 
@@ -233,7 +232,7 @@ class BrowserIndex:
         *exclude_client* is the requester — its own browser already
         missed.  When *version* is given, only entries recorded with
         that version qualify (the proxy knows the current version from
-        the origin's headers).  Expired-TTL entries never qualify.
+        the origin's headers).
         *banned* holders (the engine's quarantine blacklist) are
         filtered out after qualification; ``None`` skips the filter
         entirely.  Holder choice is round-robin over qualifying clients
@@ -244,14 +243,10 @@ class BrowserIndex:
         holders = self._visible.get(doc)
         if not holders:
             return None
-        # The expiry test inlines IndexEntry.expired — one method call
-        # per candidate adds up at millions of lookups.
         candidates = [
             (c, e)
             for c, e in holders.items()
-            if c != exclude_client
-            and (e.ttl is None or now <= e.timestamp + e.ttl)
-            and (version is None or e.version == version)
+            if c != exclude_client and (version is None or e.version == version)
         ]
         if banned:
             kept = [(c, e) for c, e in candidates if c not in banned]
@@ -295,7 +290,6 @@ class BrowserIndex:
             for c, e in holders.items()
             if c != exclude_client
             and (not banned or c not in banned)
-            and not e.expired(now)
             and (version is None or e.version == version)
         )
 
@@ -327,13 +321,7 @@ class BrowserIndex:
             for client in holders
         }
 
-    def reannounce(
-        self,
-        client: int,
-        items,
-        now: float,
-        ttl: float | None = None,
-    ) -> int:
+    def reannounce(self, client: int, items, now: float) -> int:
         """Client re-announces its full browser-cache contents.
 
         *items* iterates ``(doc, version, size)`` triples from the true
@@ -356,14 +344,7 @@ class BrowserIndex:
             holders = self._visible.setdefault(doc, {})
             if client not in holders:
                 self.n_entries += 1
-            holders[client] = IndexEntry(
-                client=client,
-                doc=doc,
-                version=version,
-                size=size,
-                timestamp=now,
-                ttl=ttl,
-            )
+            holders[client] = IndexEntry(client, doc, version, size, now)
             n_items += 1
         state = self._state_of(client)
         state.cached_docs = n_items

@@ -16,8 +16,8 @@ class ChainIndex:
     """Invalidation-mode exact index read off a flat pool's holder chains.
 
     Lookups choose as :class:`~repro.index.browser_index.BrowserIndex`
-    does with no entry TTL (sorted qualifying holders, round-robin,
-    ``banned`` filtering).  A hit's ``entry`` is ``None``."""
+    does (sorted qualifying holders, round-robin, ``banned`` filtering).
+    A hit's ``entry`` is ``None``."""
 
     is_stale = False
     #: no event handles: the pool's fill keeps the chains and counts events

@@ -118,7 +118,6 @@ class BloomBrowserIndex:
         version: int,
         size: int,
         now: float,
-        ttl: float | None = None,
         replace: bool = False,
     ) -> None:
         self.n_insert_events += 1
@@ -196,13 +195,7 @@ class BloomBrowserIndex:
         self._changes_since_rebuild = list(payload["changes"])
         self._restored_clients = set(range(self.n_clients))
 
-    def reannounce(
-        self,
-        client: int,
-        items,
-        now: float,
-        ttl: float | None = None,
-    ) -> int:
+    def reannounce(self, client: int, items, now: float) -> int:
         """Client re-announces its full browser-cache contents as a
         fresh summary.  *items* iterates ``(doc, version, size)``
         triples from the true cache.  Returns the announced item count.

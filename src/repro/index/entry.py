@@ -30,12 +30,7 @@ class IndexEntry:
     version: int
     size: int
     timestamp: float
-    ttl: float | None = None
 
     #: on-the-wire/in-memory footprint used by the §5 space estimate:
     #: 16-byte MD5 URL signature + 4-byte client id + 8-byte timestamp.
     WIRE_BYTES = 28
-
-    def expired(self, now: float) -> bool:
-        """True when the TTL (if any) has lapsed at time *now*."""
-        return self.ttl is not None and now > self.timestamp + self.ttl

@@ -11,11 +11,15 @@ boundaries, sanitizer artifacts, stray binary.  Every parser therefore
 takes an ``errors`` mode: ``"raise"`` aborts on the first malformed
 line, ``"skip"`` quarantines it into a :class:`ParseReport` (count plus
 the first few offending lines) and keeps going, so one torn line does
-not discard a day of trace.
+not discard a day of trace.  A line is malformed when a field is
+missing or does not parse, and also when its timestamp is not finite
+(``nan``/``inf`` would reach every virtual-time schedule) or its size
+does not fit the trace's 64-bit column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,10 +27,35 @@ import numpy as np
 
 from repro.traces.record import Trace
 
-__all__ = ["ParseReport", "resolve_errors", "rows_to_trace"]
+__all__ = [
+    "ParseReport",
+    "parse_size",
+    "parse_timestamp",
+    "resolve_errors",
+    "rows_to_trace",
+]
 
 #: valid ``errors`` modes for the log parsers.
 ERROR_MODES = ("raise", "skip")
+
+_INT64_MAX = 2**63 - 1
+
+
+def parse_timestamp(text: str) -> float:
+    """A log timestamp; ``ValueError`` unless it is a finite number."""
+    ts = float(text)
+    if not math.isfinite(ts):
+        raise ValueError(f"non-finite timestamp {text!r}")
+    return ts
+
+
+def parse_size(text: str) -> int:
+    """A log size field; ``ValueError`` unless it is an integer that
+    fits the trace's int64 size column."""
+    size = int(text)
+    if size > _INT64_MAX:
+        raise ValueError(f"size {text!r} overflows 64 bits")
+    return size
 
 
 def resolve_errors(errors: str | None, strict: bool) -> str:

@@ -21,7 +21,13 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator
 
-from repro.traces._parse_common import ParseReport, resolve_errors, rows_to_trace
+from repro.traces._parse_common import (
+    ParseReport,
+    parse_size,
+    parse_timestamp,
+    resolve_errors,
+    rows_to_trace,
+)
 from repro.traces.record import Trace
 
 __all__ = ["parse_bu_log", "write_bu_log"]
@@ -64,8 +70,8 @@ def parse_bu_log(
                 machine, ts_s, url, size_s = fields[0], fields[1], fields[2], fields[3]
             else:
                 raise ValueError("too few fields")
-            ts = float(ts_s)
-            size = int(size_s)
+            ts = parse_timestamp(ts_s)
+            size = parse_size(size_s)
         except (IndexError, ValueError) as exc:
             if mode == "raise":
                 raise ValueError(f"malformed BU trace line {lineno}: {line!r}") from exc

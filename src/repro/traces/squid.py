@@ -21,7 +21,13 @@ import gzip
 import os
 from typing import Iterable, Iterator
 
-from repro.traces._parse_common import ParseReport, resolve_errors, rows_to_trace
+from repro.traces._parse_common import (
+    ParseReport,
+    parse_size,
+    parse_timestamp,
+    resolve_errors,
+    rows_to_trace,
+)
 from repro.traces.record import Trace
 
 __all__ = ["parse_squid_log", "write_squid_log"]
@@ -69,10 +75,10 @@ def parse_squid_log(
             continue
         fields = line.split()
         try:
-            ts = float(fields[0])
+            ts = parse_timestamp(fields[0])
             client = fields[2]
             action_code = fields[3]
-            size = int(fields[4])
+            size = parse_size(fields[4])
             method = fields[5]
             url = fields[6]
         except (IndexError, ValueError) as exc:

@@ -189,23 +189,12 @@ def check_partition_schedule(
         )
 
 
-def check_quarantine(threshold: int, decay: float | None) -> None:
+def check_quarantine(threshold: int) -> None:
     """The quarantine threshold counts integrity failures (0 = defense
-    off); a decay window only makes sense with the defense armed."""
+    off)."""
     if threshold < 0 or threshold != int(threshold):
         raise ValueError(
             f"quarantine threshold (--quarantine-threshold) must be a "
             f"non-negative integer number of integrity failures, got "
             f"{threshold!r}"
         )
-    if decay is not None:
-        if threshold <= 0:
-            raise ValueError(
-                "quarantine_decay needs the defense armed: set a quarantine "
-                "threshold (--quarantine-threshold) > 0"
-            )
-        if not decay > 0:
-            raise ValueError(
-                f"quarantine_decay must be > 0 seconds of virtual time, "
-                f"got {decay!r}"
-            )

@@ -84,17 +84,6 @@ def test_quarantine_knobs_validate():
         SimulationConfig(
             proxy_capacity=100, browser_capacity=100, quarantine_threshold=-1
         )
-    with pytest.raises(ValueError, match="quarantine_decay"):
-        SimulationConfig(
-            proxy_capacity=100, browser_capacity=100, quarantine_decay=60.0
-        )
-    with pytest.raises(ValueError, match="quarantine_decay"):
-        SimulationConfig(
-            proxy_capacity=100,
-            browser_capacity=100,
-            quarantine_threshold=1,
-            quarantine_decay=0.0,
-        )
     with pytest.raises(ValueError, match="static_blacklist"):
         SimulationConfig(
             proxy_capacity=100, browser_capacity=100, static_blacklist=(-1,)
@@ -276,36 +265,6 @@ def test_quarantine_bans_after_threshold():
     assert defended.integrity_failures == 2
     assert defended.quarantined_peers == 2
     assert undefended.quarantined_peers == 0
-
-
-def test_quarantine_decay_readmits_then_requarantines():
-    # client0 holds doc0; client1 takes a strike off it at t=1, then
-    # evicts its own copy with doc1; at t=10 only client0 still holds
-    # doc0, so re-admission is the only way it gets probed again.
-    trace = Trace(
-        timestamps=np.array([0.0, 1.0, 2.0, 10.0]),
-        clients=np.array([0, 1, 1, 2]),
-        docs=np.array([0, 0, 1, 0]),
-        sizes=np.full(4, 100),
-        versions=np.zeros(4, dtype=np.int64),
-        name="decay",
-    )
-    adversarial = AdversarialConfig(polluter_fraction=1.0)
-    base = dict(
-        proxy_capacity=0,
-        browser_capacity=100,
-        adversarial=adversarial,
-        quarantine_threshold=1,
-    )
-    forever = simulate(trace, BAPS, SimulationConfig(**base))
-    readmitted = simulate(
-        trace, BAPS, SimulationConfig(**base, quarantine_decay=5.0)
-    )
-    assert forever.quarantined_peers == 1
-    # the ban decayed before t=10, the holder got re-probed, failed
-    # again, and was re-quarantined with a clean strike slate.
-    assert readmitted.quarantined_peers == 2
-    assert readmitted.integrity_failures == forever.integrity_failures + 1
 
 
 def test_static_blacklist_suppresses_holder_and_rescues_hit():

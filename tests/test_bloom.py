@@ -1,4 +1,4 @@
-"""Bloom filter and BloomIndex tests."""
+"""Bloom filter tests."""
 
 import copy
 import pickle
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from repro.federation.digest import CountingSummary
-from repro.index import BloomFilter, BloomIndex
+from repro.index import BloomFilter
 from repro.index.bloom import (
     _MEMO_KEYS,
     _batch_positions,
@@ -237,48 +237,6 @@ def test_validation():
         BloomFilter(128, 0)
     with pytest.raises(ValueError):
         BloomFilter.for_capacity(0)
-
-
-# -- BloomIndex ----------------------------------------------------------
-
-
-def test_bloom_index_candidates_and_choose():
-    idx = BloomIndex(n_clients=3, expected_docs_per_client=50)
-    idx.add(0, 7)
-    idx.add(2, 7)
-    cands = idx.candidates(7, exclude_client=1)
-    assert set(cands) >= {0, 2}
-    assert idx.choose(7, exclude_client=1) in cands
-    assert idx.choose(999_999_937, exclude_client=1) is None or True  # may FP
-
-
-def test_bloom_index_excludes_requester():
-    idx = BloomIndex(n_clients=2, expected_docs_per_client=50)
-    idx.add(0, 7)
-    assert 0 not in idx.candidates(7, exclude_client=0)
-
-
-def test_bloom_index_rebuild():
-    idx = BloomIndex(n_clients=1, expected_docs_per_client=50)
-    idx.add(0, 7)
-    idx.rebuild(0, [1, 2, 3])
-    assert idx.candidates(1, exclude_client=99) == [0]
-
-
-def test_bloom_index_claims_is_per_client():
-    idx = BloomIndex(n_clients=2, expected_docs_per_client=50)
-    idx.rebuild(1, [4, 5])
-    assert idx.claims(1, 4) and idx.claims(1, 5)
-    assert not idx.claims(0, 4)
-    # a rebuild forgets what the new contents no longer hold
-    idx.rebuild(1, [])
-    assert not idx.claims(1, 4)
-
-
-def test_bloom_index_footprint():
-    idx = BloomIndex(n_clients=10, expected_docs_per_client=1000, bits_per_doc=16)
-    # 10 clients x 16000 bits = 20 kB
-    assert idx.footprint_bytes() == pytest.approx(20_000, rel=0.05)
 
 
 # -- IndexSpaceModel (paper §5 arithmetic) ---------------------------------

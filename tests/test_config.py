@@ -1,5 +1,9 @@
 """SimulationConfig and the paper's sizing rules."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -98,3 +102,49 @@ def test_tiered_requires_lru(small_trace):
     )
     with pytest.raises(ValueError, match="LRU"):
         Simulator(small_trace, Organization.PROXY_AND_LOCAL_BROWSER, config)
+
+
+# -- every field has a user ------------------------------------------------
+
+_REPO = Path(__file__).resolve().parent.parent
+#: where a field counts as set by something: the CLI, experiments and
+#: subsystems built on the engine, examples, benchmarks and tools.
+_USERS = [
+    _REPO / "src/repro/cli.py",
+    *(
+        _REPO / "src/repro" / package
+        for package in (
+            "experiments", "federation", "adversarial", "hierarchy", "prefetch", "analysis"
+        )
+    ),
+    _REPO / "examples",
+    _REPO / "benchmarks",
+    _REPO / "perfbench",
+    _REPO / "tools",
+]
+#: fields nothing sets whose defaults are the paper's own timing models
+#: (§4.2 10 Mbps Ethernet, the WAN fetch, §5 memory/disk access), read by
+#: every overhead report.  Listed so the rule below stays strict for
+#: everything else; a field leaves this list once something sets it.
+_PAPER_DEFAULTS = {"lan", "wan", "storage"}
+
+
+def test_every_config_field_is_set_by_a_user():
+    """Each ``SimulationConfig`` field costs a branch in every engine, a
+    row in the stream support matrix and a dimension in the
+    differential suite, so each must be set (``field=``) somewhere
+    outside the engines and tests.  A new field fails here until
+    something uses it."""
+    files = [
+        path
+        for root in _USERS
+        for path in ([root] if root.is_file() else sorted(root.rglob("*.py")))
+    ]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in files)
+    set_somewhere = {
+        f.name
+        for f in dataclasses.fields(SimulationConfig)
+        if re.search(rf"(?<![\w.]){f.name}=(?!=)", text)
+    }
+    unset = {f.name for f in dataclasses.fields(SimulationConfig)} - set_somewhere
+    assert unset == _PAPER_DEFAULTS

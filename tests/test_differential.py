@@ -104,8 +104,6 @@ def configs(draw):
         "browser_capacity": draw(st.integers(0, 1_500)),
         "proxy_policy": draw(st.sampled_from(("lru", "fifo"))),
         "browser_policy": draw(st.sampled_from(("lru", "fifo"))),
-        "cache_remote_hits_at_proxy": draw(st.booleans()),
-        "remote_hit_refreshes_holder": draw(st.booleans()),
         "max_holder_retries": draw(st.integers(0, 3)),
         "corruption_rate": draw(st.sampled_from((0.0, 0.1, 0.3))),
         "availability_seed": draw(st.integers(0, 2**20)),
@@ -124,8 +122,6 @@ def configs(draw):
             threshold=draw(st.sampled_from((0.05, 0.2))),
             min_docs=draw(st.integers(1, 10)),
         )
-    if draw(st.booleans()):
-        kw["index_entry_ttl"] = draw(st.floats(1.0, 100.0))
     availability = draw(st.sampled_from(("none", "bernoulli", "churn")))
     if availability == "bernoulli":
         kw["holder_availability"] = draw(st.floats(0.3, 0.95))

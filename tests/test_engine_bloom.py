@@ -116,28 +116,6 @@ def test_unknown_index_kind_rejected(small_trace):
         SimulationConfig.relative(small_trace, proxy_frac=0.1, index_kind="oracle")
 
 
-def test_bloom_sizing_uses_mean_of_actual_capacities(small_trace):
-    """With heterogeneous ``browser_capacities`` the filters must be
-    sized from the mean deployed capacity, not the (possibly wildly
-    off) uniform ``browser_capacity`` fallback."""
-    from repro.core.simulator import Simulator
-
-    n = small_trace.n_clients
-    capacities = tuple(5_000_000 if i % 2 == 0 else 15_000_000 for i in range(n))
-    mean_capacity = sum(capacities) // n
-    config = SimulationConfig(
-        proxy_capacity=1_000_000,
-        browser_capacity=1_000,  # deliberately far from the real mean
-        browser_capacities=capacities,
-        index_kind="bloom",
-    )
-    sim = Simulator(small_trace, Organization.BROWSERS_AWARE_PROXY, config)
-    avg_doc = max(1, int(small_trace.sizes.mean()))
-    assert sim.index.expected_docs == max(8, mean_capacity // avg_doc)
-    # the buggy formula would have sized from browser_capacity:
-    assert sim.index.expected_docs != max(8, config.browser_capacity // avg_doc)
-
-
 def test_bloom_sizing_unchanged_for_uniform_capacity(small_trace):
     from repro.core.simulator import Simulator
 

@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     EngineOptions,
@@ -24,9 +28,15 @@ from repro.core import (
     run_cells,
     simulate,
 )
-from repro.core.journal import load_completed_results, read_journal
+from repro.core.journal import (
+    cell_key,
+    load_completed_results,
+    read_journal,
+    result_to_jsonable,
+)
+from repro.core.metrics import SimulationResult
 
-from tests.conftest import assert_result_roundtrips
+from tests.conftest import assert_result_roundtrips, example_budget
 
 ORGS = (Organization.PROXY_AND_LOCAL_BROWSER, Organization.BROWSERS_AWARE_PROXY)
 FRACTIONS = (0.05, 0.2)
@@ -475,6 +485,63 @@ def test_corrupt_journal_line_warns(small_trace, tmp_path, caplog):
         restored = load_completed_results(journal)
     assert len(restored) == len(cells)
     assert any("discarding corrupt record" in r.message for r in caplog.records)
+
+
+def _result_record(cell: int) -> dict:
+    result = SimulationResult(trace_name="t", organization="o", n_requests=cell)
+    return {
+        "kind": "result",
+        "cell": cell,
+        "trace": "t",
+        "organization": "o",
+        "fraction": 0.1 * cell,
+        "seed": cell,
+        "config": "",
+        "result": result_to_jsonable(result),
+    }
+
+
+#: lines a torn or foreign journal may hold that are not result records
+#: the reader can restore: not UTF-8, JSON but not an object, result
+#: records without their identity, and results that do not rebuild.
+_BAD_LINES = [
+    b"\xff\xfe{",
+    b"123",
+    b'"text"',
+    b"[1, 2]",
+    b"null",
+    b'{"kind": "result"}',
+    json.dumps({**_result_record(7), "seed": "x"}).encode(),
+    json.dumps({**_result_record(8), "result": 5}).encode(),
+    json.dumps({**_result_record(9), "result": {"trace_name": "t"}}).encode(),
+    json.dumps(
+        {**_result_record(10), "result": {**_result_record(10)["result"], "by_location": []}}
+    ).encode(),
+]
+
+
+@given(
+    garbage=st.lists(st.one_of(st.binary(max_size=40), st.sampled_from(_BAD_LINES))),
+    shuffle=st.randoms(use_true_random=False),
+)
+@settings(max_examples=example_budget(100), deadline=None)
+def test_journal_reader_skips_arbitrary_bytes(garbage, shuffle):
+    """Arbitrary bytes mixed with valid records: the reader yields only
+    JSON objects, never raises, and every valid result still loads."""
+    valid = [_result_record(cell) for cell in range(3)]
+    lines = [json.dumps(record).encode() for record in valid] + garbage
+    shuffle.shuffle(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = Path(tmp) / "run.jsonl"
+        journal.write_bytes(b"".join(line + b"\n" for line in lines))
+        assert all(isinstance(r, dict) for r in read_journal(journal))
+        restored = load_completed_results(journal)
+    want = {
+        cell_key("t", "o", r["fraction"], r["seed"], ""): r["result"]["n_requests"]
+        for r in valid
+    }
+    assert {key: restored[key].n_requests for key in want} == want
+    assert set(restored) == set(want)
 
 
 # -- timeout portability -----------------------------------------------------

@@ -58,7 +58,7 @@ def test_tiered_with_ttl_and_security(small_trace):
         proxy_frac=0.1,
         memory_fraction=0.1,
         security=SecurityOverheadModel(),
-    ).with_(index_entry_ttl=3600.0)
+    )
     r = simulate(small_trace, Organization.BROWSERS_AWARE_PROXY, config)
     assert r.uses_memory_tier
     if r.by_location_remote_hits():

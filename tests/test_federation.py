@@ -390,19 +390,26 @@ def test_stale_digest_false_hit_agrees_with_bloom_index_accounting():
     """Same eviction race with a bloom browser index at the peer: the
     per-proxy index charges its own false hit for the stale filter
     claim AND the federation charges the digest false hit — the two
-    layers account the same wasted probe consistently."""
-    trace = make_trace([
-        (0.0, 1, 1, 100, 0),
-        (100.0, 1, 1, 100, 0),
-        (101.0, 1, 2, 100, 0),
-        (102.0, 0, 1, 100, 0),
-    ])
+    layers account the same wasted probe consistently.
+
+    The peer's browser and proxy each hold 23 documents.  A client's
+    filter is rebuilt after ``0.10 * max(cached, 20)`` changes: inserts
+    2, 4, ..., 20 and 23 rebuild it, so the racing evict of A plus
+    insert of B make 2 changes against a 2.3 threshold, and the filter
+    still claims A."""
+    trace = make_trace(
+        [(float(doc), 1, doc, 100, 0) for doc in range(1, 24)]  # A = doc 1
+        + [
+            (100.0, 1, 2, 100, 0),  # local hit; exchange: digest claims A
+            (101.0, 1, 24, 100, 0),  # B evicts A everywhere at the peer
+            (102.0, 0, 1, 100, 0),  # stale claim: probe fails, origin serves
+        ]
+    )
     fed = FederationConfig(n_proxies=2, digest_period=100.0)
     config = SimulationConfig(
-        proxy_capacity=100,
-        browser_capacity=100,
+        proxy_capacity=2_300,
+        browser_capacity=2_300,
         index_kind="bloom",
-        bloom_rebuild_threshold=1.0,  # keep the stale filter claim alive
         federation=fed,
     )
     result = simulate(trace, ORG, config)
@@ -475,9 +482,7 @@ def test_bloom_index_and_digest_share_sizing_arithmetic(small_trace):
     ).with_(index_kind="bloom")
     sim = Simulator(small_trace, ORG, config)
     n_clients = int(small_trace.clients.max()) + 1
-    expected = bloom_expected_docs(
-        small_trace, sim._browser_capacities(n_clients), config.browser_capacity
-    )
+    expected = bloom_expected_docs(small_trace, config.browser_capacity)
     assert sim.index.expected_docs == expected
 
     engine = FederatedSimulator(
@@ -493,9 +498,10 @@ def test_bloom_index_and_digest_share_sizing_arithmetic(small_trace):
 
 def test_bloom_expected_docs_fallback_paths():
     empty = Trace.empty()
-    assert bloom_expected_docs(empty, [], 4096) == max(8, 4096 // 1)
+    assert bloom_expected_docs(empty, 4096) == max(8, 4096 // 1)
     trace = make_trace([(0.0, 0, 1, 100, 0)])
-    assert bloom_expected_docs(trace, [1000], 0) == max(8, 1000 // 100)
+    assert bloom_expected_docs(trace, 1000) == max(8, 1000 // 100)
+    assert bloom_expected_docs(trace, 0) == 8
 
 
 # -- the holder map behind truth queries ----------------------------------------

@@ -65,11 +65,10 @@ def walk(flat: FlatBrowsers, c: int) -> list[tuple[int, int, int]]:
         st.sampled_from([0, 30, 60, 100]), min_size=N_CLIENTS, max_size=N_CLIENTS
     ),
     ops=st.lists(st.one_of(_fill, _probe), min_size=20, max_size=80),
-    ttl=st.sampled_from([None, 15.0]),
     indexed=st.booleans(),
 )
 @settings(max_examples=example_budget(150), deadline=None)
-def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, ttl, indexed):
+def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, indexed):
     flat = FlatBrowsers(caps)
     models = [LRUCache(cap) for cap in caps]
     got: list[tuple] = []
@@ -78,8 +77,8 @@ def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, ttl, indexed):
     for cid, model in enumerate(models):
         model.on_evict = lambda doc, cid=cid: want.append(("evict", cid, doc, now))
 
-    def on_insert(c, d, v, s, t, ttl_, already):
-        got.append(("insert", c, d, v, s, t, ttl_, already))
+    def on_insert(c, d, v, s, t, already):
+        got.append(("insert", c, d, v, s, t, already))
 
     def on_evict(c, d, t):
         got.append(("evict", c, d, t))
@@ -96,13 +95,13 @@ def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, ttl, indexed):
                 live += 1
             model.put(d, s, v)
             if d in model:
-                want.append(("insert", c, d, v, s, now, ttl, already))
+                want.append(("insert", c, d, v, s, now, already))
             elif already:
                 want.append(("evict", c, d, now))
             if indexed:
-                flat.fill(c, d, s, v, now, on_insert, on_evict, ttl)
+                flat.fill(c, d, s, v, now, on_insert, on_evict)
             else:
-                flat.fill(c, d, s, v, now, None, None, ttl)
+                flat.fill(c, d, s, v, now, None, None)
         else:
             _, c, d = op
             entry = models[c].get(d)
@@ -133,13 +132,13 @@ def test_oversized_refresh_is_reported_twice():
     def on_evict(*args):
         events.append(("evict", *args))
 
-    flat.fill(0, 1, 40, 0, 1.0, on_insert, on_evict, 9.0)
-    flat.fill(0, 2, 50, 0, 2.0, on_insert, on_evict, 9.0)
-    flat.fill(0, 2, 150, 1, 3.0, on_insert, on_evict, 9.0)  # refresh, too big
-    flat.fill(0, 3, 150, 0, 4.0, on_insert, on_evict, 9.0)  # new, too big
+    flat.fill(0, 1, 40, 0, 1.0, on_insert, on_evict)
+    flat.fill(0, 2, 50, 0, 2.0, on_insert, on_evict)
+    flat.fill(0, 2, 150, 1, 3.0, on_insert, on_evict)  # refresh, too big
+    flat.fill(0, 3, 150, 0, 4.0, on_insert, on_evict)  # new, too big
     assert events == [
-        ("insert", 0, 1, 0, 40, 1.0, 9.0, False),
-        ("insert", 0, 2, 0, 50, 2.0, 9.0, False),
+        ("insert", 0, 1, 0, 40, 1.0, False),
+        ("insert", 0, 2, 0, 50, 2.0, False),
         ("evict", 0, 1, 3.0),
         ("evict", 0, 2, 3.0),
         ("evict", 0, 2, 3.0),
@@ -187,8 +186,8 @@ def test_chain_index_matches_a_browser_index_fed_by_the_fills(caps, ops):
             assert chain_pool.probe(c, d) == plain_pool.probe(c, d)
             continue
         _, c, d, s, v = op
-        chain_pool.fill(c, d, s, v, now, chain.record_insert, chain.record_evict, None)
-        plain_pool.fill(c, d, s, v, now, exact.record_insert, exact.record_evict, None)
+        chain_pool.fill(c, d, s, v, now, chain.record_insert, chain.record_evict)
+        plain_pool.fill(c, d, s, v, now, exact.record_insert, exact.record_evict)
         for doc in range(5):
             for version in (None, 0, 1, 2):
                 for exclude in (-1, c):

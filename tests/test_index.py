@@ -62,13 +62,6 @@ def test_round_robin_spreads_holders():
     assert chosen == {1, 2, 3}
 
 
-def test_ttl_expiry():
-    idx = make_index()
-    idx.record_insert(client=1, doc=7, version=0, size=100, now=0.0, ttl=10.0)
-    assert idx.lookup(doc=7, exclude_client=0, now=5.0) is not None
-    assert idx.lookup(doc=7, exclude_client=0, now=11.0) is None
-
-
 def test_holders_of():
     idx = make_index()
     idx.record_insert(client=2, doc=7, version=0, size=100, now=0.0)
@@ -99,11 +92,3 @@ def test_invalid_construction():
         BrowserIndex(n_clients=0)
     with pytest.raises(ValueError):
         BrowserIndex(n_clients=2, mode=UpdateMode.INVALIDATION, policy=PeriodicUpdatePolicy())
-
-
-def test_entry_expired_helper():
-    e = IndexEntry(client=0, doc=1, version=0, size=10, timestamp=100.0, ttl=5.0)
-    assert not e.expired(104.0)
-    assert e.expired(106.0)
-    forever = IndexEntry(client=0, doc=1, version=0, size=10, timestamp=100.0)
-    assert not forever.expired(1e12)

@@ -1,11 +1,14 @@
 """Log-format parsers: Squid/NLANR, BU, CA*netII."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.traces.bu import parse_bu_log, write_bu_log
 from repro.traces.canet import concatenate, parse_canet_log, write_canet_log
 from repro.traces.squid import parse_squid_log, write_squid_log
+from tests.conftest import example_budget
 
 SQUID_LOG = """\
 963561600.123 45 client-a TCP_MISS/200 8192 GET http://x.example/a - DIRECT/x text/html
@@ -209,3 +212,91 @@ def test_canet_forwards_errors_and_report():
     assert report.skipped == 1
     with pytest.raises(ValueError, match="malformed"):
         parse_canet_log("junk\n", errors="raise")
+
+
+# -- non-finite timestamps and fuzzing ----------------------------------------
+
+
+@pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "Infinity", "1e999"])
+def test_non_finite_timestamp_is_a_malformed_line(ts):
+    from repro.traces import ParseReport
+
+    squid = f"{ts} 1 c TCP_MISS/200 5 GET http://a\n" + SQUID_LOG
+    bu = f"m s0 {ts} http://a 5 0.1\n" + "beaker s0 794397473.5 http://a/ 2009 0.5\n"
+    for parse, log in (
+        (parse_squid_log, squid),
+        (parse_canet_log, squid),
+        (parse_bu_log, bu),
+    ):
+        report = ParseReport()
+        trace = parse(log, errors="skip", report=report)
+        assert report.skipped == 1 and report.samples[0][0] == 1
+        assert len(trace) == report.parsed > 0
+        assert np.isfinite(trace.timestamps).all()
+        with pytest.raises(ValueError, match="malformed"):
+            parse(log, errors="raise")
+
+
+def test_size_beyond_int64_is_a_malformed_line():
+    from repro.traces import ParseReport
+
+    report = ParseReport()
+    parse_squid_log(
+        f"1.0 1 c TCP_MISS/200 {2**63} GET http://a\n", errors="skip", report=report
+    )
+    assert report.skipped == 1 and report.parsed == 0
+
+
+_TIMESTAMPS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", "963561600.5"]),
+    st.text(max_size=6),
+)
+_SIZES = st.one_of(st.integers(-5, 2**70).map(str), st.text(max_size=4))
+_SQUID_LINES = st.builds(
+    "{} 10 c{} {} {} {} http://x.example/{}".format,
+    _TIMESTAMPS,
+    st.integers(0, 3),
+    st.sampled_from(["TCP_MISS/200", "TCP_HIT/304", "TCP_MISS/404", "junk"]),
+    _SIZES,
+    st.sampled_from(["GET", "POST"]),
+    st.integers(0, 5),
+)
+_BU_LINES = st.builds(
+    "m{} {}{} http://x.example/{} {} 0.5".format,
+    st.integers(0, 3),
+    st.sampled_from(["", "s0 "]),
+    _TIMESTAMPS,
+    st.integers(0, 5),
+    _SIZES,
+)
+
+
+@pytest.mark.parametrize(
+    "parse, lines",
+    [
+        (parse_squid_log, _SQUID_LINES),
+        (parse_canet_log, _SQUID_LINES),
+        (parse_bu_log, _BU_LINES),
+    ],
+    ids=["squid", "canet", "bu"],
+)
+@given(data=st.data())
+@settings(max_examples=example_budget(100), deadline=None)
+def test_skip_mode_parses_arbitrary_text(parse, lines, data):
+    """Arbitrary text, mixed with lines built from (possibly invalid)
+    fields, never makes a parser raise in skip mode; every kept
+    timestamp is finite and each non-blank, non-comment line is at most
+    parsed or skipped once."""
+    from repro.traces import ParseReport
+
+    text = "\n".join(data.draw(st.lists(st.one_of(st.text(), lines), max_size=25)))
+    source = text.splitlines()  # how a parser splits a text source
+    content = [
+        line for line in map(str.strip, source) if line and not line.startswith("#")
+    ]
+    report = ParseReport()
+    trace = parse(source, errors="skip", report=report)
+    assert np.isfinite(trace.timestamps).all()
+    assert len(trace) == report.parsed
+    assert report.parsed + report.skipped <= len(content)

@@ -65,7 +65,6 @@ def test_profiled_adversarial_quarantine_run_is_identical(small_trace):
             ),
         ),
         quarantine_threshold=2,
-        quarantine_decay=0.2 * duration,
         max_holder_retries=2,
     )
     plain, profiled, profile = _asdict_pair(small_trace, BAPS, config)

@@ -434,8 +434,7 @@ def test_restored_entry_is_charged_as_false_hit():
     )
     config = SimulationConfig(
         proxy_capacity=10_000,
-        browser_capacity=10_000,
-        browser_capacities=(10_000, 150),
+        browser_capacity=150,
         proxy_faults=ProxyFaultModel(crash_times=(25.0,)),
         checkpoint=CheckpointPolicy(interval=15.0),
         reannounce_rate=1e-4,  # nobody re-announces before t=40
@@ -460,8 +459,7 @@ def test_reannouncement_corrects_restored_staleness():
     )
     config = SimulationConfig(
         proxy_capacity=10_000,
-        browser_capacity=10_000,
-        browser_capacities=(10_000, 150),
+        browser_capacity=150,
         proxy_faults=ProxyFaultModel(crash_times=(25.0,)),
         checkpoint=CheckpointPolicy(interval=15.0),
         reannounce_rate=1.0,  # client 1 re-announces at t=26

@@ -100,18 +100,6 @@ def test_baps_remote_fetch_cached_at_requester():
     assert r.by_location[HitLocation.LOCAL_BROWSER].hits == 1
 
 
-def test_baps_remote_hit_optionally_populates_proxy():
-    t = build([(0, 0, 100), (1, 1, 200), (1, 0, 100), (0, 1, 200), (1, 0, 100)])
-    config = SimulationConfig(
-        proxy_capacity=250, browser_capacity=1000, cache_remote_hits_at_proxy=True
-    )
-    r = simulate(t, Organization.BROWSERS_AWARE_PROXY, config)
-    # req2: remote hit (d0 from c0), proxy re-caches d0 evicting nothing
-    # (d0=100 fits beside d1=200? no: 300>250, evicts d1)... regardless,
-    # req4 (c1,d0) is now a local hit at c1.
-    assert r.by_location[HitLocation.REMOTE_BROWSER].hits >= 1
-
-
 def test_index_does_not_return_requesters_own_browser():
     # c0 evicts nothing; c0 re-requests its own doc after proxy evicted
     # it -> must be a local hit, never "remote" from itself.

@@ -58,8 +58,6 @@ CONFIGS = st.builds(
     SimulationConfig,
     proxy_capacity=st.integers(0, 5_000),
     browser_capacity=st.integers(0, 2_000),
-    cache_remote_hits_at_proxy=st.booleans(),
-    remote_hit_refreshes_holder=st.booleans(),
 )
 
 

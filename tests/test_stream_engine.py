@@ -71,38 +71,12 @@ def test_identical_base_config():
     assert_identical(t, SimulationConfig.relative(t, proxy_frac=0.1, browser_sizing="minimum"))
 
 
-def test_identical_with_index_ttl():
-    t = small_trace(1)
-    cfg = SimulationConfig.relative(t, proxy_frac=0.05, browser_sizing="minimum").with_(
-        index_entry_ttl=30.0
-    )
-    assert_identical(t, cfg)
-
-
 def test_identical_fifo_proxy():
     t = small_trace(2)
     cfg = SimulationConfig.relative(t, proxy_frac=0.1, browser_sizing="minimum").with_(
         proxy_policy="fifo"
     )
     assert_identical(t, cfg)
-
-
-def test_identical_remote_hit_knobs():
-    t = small_trace(3)
-    cfg = SimulationConfig.relative(t, proxy_frac=0.1, browser_sizing="minimum").with_(
-        remote_hit_refreshes_holder=False, cache_remote_hits_at_proxy=True
-    )
-    assert_identical(t, cfg)
-
-
-def test_identical_heterogeneous_capacities():
-    t = small_trace(4)
-    base = SimulationConfig.relative(t, proxy_frac=0.1, browser_sizing="minimum")
-    caps = tuple(
-        int(base.browser_capacity * (1.6 if i % 2 == 0 else 0.4))
-        for i in range(t.n_clients)
-    )
-    assert_identical(t, base.with_(browser_capacities=caps))
 
 
 def test_identical_security_model():
@@ -126,18 +100,15 @@ def test_identical_from_trace_stream():
     n=st.integers(1, 300),
     clients=st.integers(1, 12),
     proxy_frac=st.sampled_from([0.02, 0.1, 0.5]),
-    ttl=st.sampled_from([None, 15.0]),
 )
 @settings(max_examples=30, deadline=None)
-def test_identical_property(seed, n, clients, proxy_frac, ttl):
+def test_identical_property(seed, n, clients, proxy_frac):
     t = generate_trace(
         SyntheticTraceConfig(n_requests=n, n_clients=clients), seed=seed
     )
     if not t.has_dense_clients:  # n < clients cannot cover every id
         t = t.renumbered()
-    cfg = SimulationConfig.relative(
-        t, proxy_frac=proxy_frac, browser_sizing="minimum"
-    ).with_(index_entry_ttl=ttl)
+    cfg = SimulationConfig.relative(t, proxy_frac=proxy_frac, browser_sizing="minimum")
     assert_identical(t, cfg)
 
 
@@ -169,10 +140,9 @@ def test_identical_oversized_and_refresh_corners():
 
 def test_identical_zero_capacity_and_empty():
     t = hand([(0.0, 0, 0, 10), (1.0, 1, 0, 10)])
-    cfg = SimulationConfig(
-        proxy_capacity=0, browser_capacity=0, browser_capacities=(50, 0)
-    )
-    assert_identical(t, cfg)
+    for browser_capacity in (0, 50):
+        cfg = SimulationConfig(proxy_capacity=0, browser_capacity=browser_capacity)
+        assert_identical(t, cfg)
     empty = Trace(
         timestamps=np.array([]),
         clients=np.array([], dtype=np.int64),
@@ -227,15 +197,6 @@ def test_doc_id_beyond_packed_key_refused():
     assert_identical(ok, cfg)
 
 
-def test_capacities_must_cover_clients():
-    t = hand([(0.0, 0, 0, 10), (1.0, 1, 0, 10), (2.0, 2, 0, 10)])
-    cfg = SimulationConfig(
-        proxy_capacity=100, browser_capacity=0, browser_capacities=(10, 10)
-    )
-    with pytest.raises(ValueError, match="covers 2 clients"):
-        simulate_stream(t, Organization.PROXY_AND_LOCAL_BROWSER, cfg)
-
-
 def test_flat_state_no_per_client_objects():
     """A high-client-count replay must not allocate per-client cache
     objects: flat arrays keep per-client cost to a few machine words."""
@@ -288,7 +249,7 @@ def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
     checks) answer from the engine's holder map, which on the flat
     backend is the pool's holder chains: on a stream + bloom cell the
     chains equal a walk of the slot pool, and a query makes no
-    ``FlatBrowsers.peek``/``LRUCache.peek`` call.  Cells where no truth
+    ``FlatBrowsers.probe``/``LRUCache.peek`` call.  Cells where no truth
     query can be asked (exact index, no crash recovery, no federation of
     several proxies) allocate no map, and flat cells keep chains only
     where the exact index or a truth query reads them."""
@@ -312,7 +273,7 @@ def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
     assert walked and chained == walked and sim._holders is None
 
     peeks = []
-    monkeypatch.setattr(FlatBrowsers, "peek", lambda *a: peeks.append(a) or -1)
+    monkeypatch.setattr(FlatBrowsers, "probe", lambda *a: peeks.append(a) or -1)
     monkeypatch.setattr(LRUCache, "peek", lambda *a: peeks.append(a))
     for doc, held in walked.items():
         for v in {*held.values(), max(held.values()) + 1}:
@@ -366,18 +327,10 @@ SUPPORTED = {
     "proxy_capacity": dict(proxy_capacity=20_000),
     "browser_capacity": dict(browser_capacity=4_000),
     "proxy_policy": dict(proxy_policy="fifo"),
-    "browser_capacities": dict(
-        browser_capacities=tuple(2_000 + 500 * (i % 7) for i in range(25))
-    ),
     "index_kind": dict(index_kind="bloom"),
     "index_update_policy": dict(
         index_update_policy=PeriodicUpdatePolicy(threshold=0.5, min_docs=8)
     ),
-    "bloom_bits_per_doc": dict(index_kind="bloom", bloom_bits_per_doc=2.0),
-    "bloom_rebuild_threshold": dict(index_kind="bloom", bloom_rebuild_threshold=0.5),
-    "index_entry_ttl": dict(index_entry_ttl=30.0),
-    "cache_remote_hits_at_proxy": dict(cache_remote_hits_at_proxy=True),
-    "remote_hit_refreshes_holder": dict(remote_hit_refreshes_holder=False),
     "lan": dict(lan=EthernetModel(bandwidth_bps=100e6, connection_setup=0.01)),
     "wan": dict(wan=WANModel(connection_setup=0.2, bandwidth_bps=5e6)),
     "storage": dict(storage=MemoryDiskModel(disk_page_bytes=8192)),
@@ -403,12 +356,6 @@ SUPPORTED = {
     "quarantine_threshold": dict(
         corruption_rate=0.4, quarantine_threshold=1, max_holder_retries=2
     ),
-    "quarantine_decay": dict(
-        corruption_rate=0.4,
-        quarantine_threshold=1,
-        quarantine_decay=_SPAN / 20,
-        max_holder_retries=2,
-    ),
     "static_blacklist": dict(static_blacklist=(0, 3, 5)),
     "chaos": dict(
         chaos=ChaosPlan(
@@ -424,16 +371,13 @@ SUPPORTED = {
 #: with its overrides: the chain index (a view of the slot pool), or a
 #: ``BrowserIndex``/``BloomBrowserIndex`` fed by the fills' event handles
 #: where entries need state the slots do not keep (bloom filters,
-#: periodic batches, TTLs, crash snapshots and re-announcements).
+#: periodic batches, crash snapshots and re-announcements).
 FLAT_INDEX = {
     **dict.fromkeys(
         (
             "proxy_capacity",
             "browser_capacity",
             "proxy_policy",
-            "browser_capacities",
-            "cache_remote_hits_at_proxy",
-            "remote_hit_refreshes_holder",
             "lan",
             "wan",
             "storage",
@@ -445,19 +389,14 @@ FLAT_INDEX = {
             "availability_seed",
             "adversarial",
             "quarantine_threshold",
-            "quarantine_decay",
             "static_blacklist",
         ),
         ChainIndex,
     ),
-    **dict.fromkeys(
-        ("index_kind", "bloom_bits_per_doc", "bloom_rebuild_threshold"),
-        BloomBrowserIndex,
-    ),
+    "index_kind": BloomBrowserIndex,
     **dict.fromkeys(
         (
             "index_update_policy",
-            "index_entry_ttl",
             "proxy_faults",
             "checkpoint",
             "reannounce_rate",
@@ -509,12 +448,17 @@ def test_supported_knob_builds_its_index(field):
     assert type(sim.index) is FLAT_INDEX[field]
 
 
-def test_chain_index_cell_reports_no_browser_event(monkeypatch):
+@pytest.mark.parametrize(
+    "proxy_capacity", [1_000_000_000, 500_000], ids=["unbounded-proxy", "small-proxy"]
+)
+def test_chain_index_cell_reports_no_browser_event(monkeypatch, proxy_capacity):
     """A cell shaped like the streamed 1M-client BAPS cell (exact index,
-    unbounded proxy, 20 kB browsers) replays with every per-event index
-    path disabled, and equals the object engine's replay."""
+    20 kB browsers) replays with every per-event index path disabled,
+    and equals the object engine's replay.  The unbounded proxy of that
+    cell holds every document some browser holds, so only the small
+    proxy sends requests down the remote-browser path."""
     tc = SyntheticTraceConfig(n_requests=3_000, n_clients=300)
-    config = SimulationConfig(proxy_capacity=1_000_000_000, browser_capacity=20_000)
+    config = SimulationConfig(proxy_capacity=proxy_capacity, browser_capacity=20_000)
     baps = Organization.BROWSERS_AWARE_PROXY
 
     def refuse(*args, **kwargs):
@@ -530,6 +474,7 @@ def test_chain_index_cell_reports_no_browser_event(monkeypatch):
         flat = simulate_stream(TraceStream(tc, seed=5), baps, config)
     want = simulate(generate_trace(tc, seed=5), baps, config)
     assert flat.index_lookups > 0 and flat.overhead.index_update_messages > 0
+    assert (flat.by_location_remote_hits() > 0) == (proxy_capacity < 1_000_000_000)
     assert dataclasses.asdict(flat) == dataclasses.asdict(want)
 
 
