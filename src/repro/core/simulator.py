@@ -46,10 +46,11 @@ per client (the default), or every LRU browser cache in one flat
 (:class:`~repro.core.stream_engine.StreamSimulator`, for
 million-client cells and streamed sources).  The flat backend takes
 its own arm in the browser probe, the fill (one
-:meth:`FlatBrowsers.fill <repro.cache.FlatBrowsers.fill>` call that
-reports its own index events), the holder lookup and the
-whole-population walks; it has no tiered or per-entry-expiry state,
-so ``StreamSimulator`` rejects those knobs (and federation) by name.  The third engine,
+:attr:`FlatBrowsers.fill <repro.cache.FlatBrowsers.fill>` call that
+takes the probed slot and reports its own index events), the holder
+lookup and the whole-population walks; it has no tiered or
+per-entry-expiry state, so ``StreamSimulator`` rejects those knobs
+(and federation) by name.  The third engine,
 :class:`~repro.federation.engine.FederatedSimulator`, has no loop of
 its own: it is a router in front of this one, holding one bound
 handle tuple per proxy.  Step 0 routes each request to its home proxy
@@ -114,6 +115,7 @@ from repro.index.browser_index import BrowserIndex, UpdateMode
 from repro.index.chain import ChainIndex
 from repro.index.checkpoint import IndexCheckpointer
 from repro.index.engine_bloom import BloomBrowserIndex
+from repro.index.entry import IndexEntry
 from repro.index.staleness import StalenessStats
 from repro.network.ethernet import SharedBus
 from repro.security.protocols import SecurityOverheadModel
@@ -236,7 +238,7 @@ class Simulator:
         self.flat = None
         if self.features.has_browsers:
             if self.flat_clients:
-                self.flat = FlatBrowsers([config.browser_capacity] * n_clients)
+                self.flat = FlatBrowsers(n_clients, config.browser_capacity)
             else:
                 self.browsers = [
                     self._new_cache(config.browser_policy, config.browser_capacity, browser_mem)
@@ -406,7 +408,7 @@ class Simulator:
     def _bind_index_events(self) -> None:
         """Point ``_record_insert``/``_record_evict`` — the handles every
         browser insert and evict goes through (:meth:`_bind`, hence the
-        loop's fill tail and :meth:`FlatBrowsers.fill
+        loop's fill tail and :attr:`FlatBrowsers.fill
         <repro.cache.FlatBrowsers.fill>`; :meth:`_browser_put` and the
         on-evict hooks) — at the index, or through the holder map when
         one is kept (``None`` for a :class:`~repro.index.chain.ChainIndex`)."""
@@ -1300,7 +1302,7 @@ class Simulator:
                     stamp(proxy, d, t, last_mod)
             if to_browser:
                 if flat_fill is not None:
-                    flat_fill(c, d, s, ver, t, record_insert, record_evict)
+                    flat_fill(c, d, s, ver, t, record_insert, record_evict, slot)
                 elif lru_b:
                     # inlined LRUCache.put, reporting its index events
                     # itself: each victim, then the insert
@@ -1368,11 +1370,12 @@ class Simulator:
                     n = sum([x.index.n_entries for x in fed_sims])
                 if n > peak_entries:
                     peak_entries = n
-                    peak_footprint = (
-                        index.footprint_bytes()
-                        if fed is None
-                        else sum([x.index.footprint_bytes() for x in fed_sims])
-                    )
+                    if pool_entries is None:
+                        peak_footprint = (
+                            index.footprint_bytes()
+                            if fed is None
+                            else sum([x.index.footprint_bytes() for x in fed_sims])
+                        )
 
         # -- flush the batched counters --------------------------------
         overhead = result.overhead
@@ -1404,6 +1407,9 @@ class Simulator:
         overhead.origin_miss_time += origin_miss_time
         overhead.remote_storage_time += remote_storage_time
         overhead.security_time += security_time
+        if pool_entries is not None:
+            # ChainIndex.footprint_bytes() at the peak
+            peak_footprint = peak_entries * IndexEntry.WIRE_BYTES
         result.index_peak_entries = peak_entries
         result.index_peak_footprint_bytes = peak_footprint
 

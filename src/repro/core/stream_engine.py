@@ -8,8 +8,8 @@ of megabytes before a single document is cached.
 :func:`simulate_stream` replays through the same loop,
 :meth:`Simulator._replay <repro.core.simulator.Simulator._replay>`,
 with the second client-state backend: every browser cache lives in one
-:class:`~repro.cache.FlatBrowsers` slot pool of ``array('q')`` columns,
-a few machine words per client; its exact index is a view of the pool's
+:class:`~repro.cache.FlatBrowsers` slot pool of flat columns, a few
+machine words per client; its exact index is a view of the pool's
 per-document holder chains (:class:`~repro.index.chain.ChainIndex`), not
 a second copy.  The input can be any **row source** —
 a materialised :class:`~repro.traces.record.Trace` or a

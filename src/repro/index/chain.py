@@ -26,6 +26,7 @@ class ChainIndex:
     def __init__(self, flat: FlatBrowsers) -> None:
         flat.keep_chains()
         self.flat = flat
+        self._heads = flat.chain_head  # the lookup's one miss check
         self.stats = StalenessStats()
         self.n_lookups = 0
         self.banned_candidates_skipped = 0  # as BrowserIndex counts it
@@ -48,7 +49,7 @@ class ChainIndex:
     def lookup(self, doc, exclude_client, now, version=None, banned=None):
         """One of :meth:`candidate_holders`, chosen round-robin, or ``None``."""
         self.n_lookups += 1
-        if doc not in self.flat.chain_head:
+        if doc not in self._heads:
             return None
         candidates = self.candidate_holders(doc, exclude_client, now, version)
         if banned:

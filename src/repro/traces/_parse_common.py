@@ -19,9 +19,11 @@ does not fit the trace's 64-bit column.
 
 from __future__ import annotations
 
+import gzip
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from repro.traces.record import Trace
 
 __all__ = [
     "ParseReport",
+    "iter_lines",
     "parse_size",
     "parse_timestamp",
     "resolve_errors",
@@ -56,6 +59,28 @@ def parse_size(text: str) -> int:
     if size > _INT64_MAX:
         raise ValueError(f"size {text!r} overflows 64 bits")
     return size
+
+
+def iter_lines(source: str | os.PathLike | Iterable[str]) -> Iterator[str]:
+    """The lines of a parser's *source*: a path, the log text itself, or
+    an iterable of lines.
+
+    A ``str`` holding a newline, or naming nothing on disk, is log text.
+    Otherwise the path is opened (gzip-compressed if it ends in ``.gz``,
+    as NLANR published its logs), unless it is a directory, which raises
+    :class:`ValueError` naming it."""
+    if not isinstance(source, (str, os.PathLike)):
+        yield from source
+        return
+    path = os.fspath(source)
+    if isinstance(source, str) and ("\n" in source or not os.path.exists(path)):
+        yield from source.splitlines()
+        return
+    if os.path.isdir(path):
+        raise ValueError(f"log source {path!r} is a directory, not a log file")
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8", errors="replace") as fh:
+        yield from fh
 
 
 def resolve_errors(errors: str | None, strict: bool) -> str:

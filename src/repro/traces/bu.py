@@ -19,10 +19,11 @@ five- or six-field lines and takes the machine name as the client key
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.traces._parse_common import (
     ParseReport,
+    iter_lines,
     parse_size,
     parse_timestamp,
     resolve_errors,
@@ -31,16 +32,6 @@ from repro.traces._parse_common import (
 from repro.traces.record import Trace
 
 __all__ = ["parse_bu_log", "write_bu_log"]
-
-
-def _iter_lines(source: str | os.PathLike | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            yield from fh
-    elif isinstance(source, str):
-        yield from source.splitlines()
-    else:
-        yield from source
 
 
 def parse_bu_log(
@@ -58,7 +49,7 @@ def parse_bu_log(
     """
     mode = resolve_errors(errors, strict)
     rows = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
+    for lineno, line in enumerate(iter_lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

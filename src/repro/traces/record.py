@@ -24,6 +24,7 @@ maps document ids back to URLs for parsers and the security layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -146,21 +147,17 @@ class Trace:
         ``chunk_rows`` rows (default :attr:`ITER_CHUNK_ROWS`), so the
         transient conversion memory is O(chunk), not O(trace).
         Iteration order and yielded values are identical to the old
-        whole-column conversion.
+        whole-column conversion.  The result is a C-level iterator
+        chaining one ``zip`` per chunk: no Python frame resumes per row.
         """
-        n = len(self.timestamps)
         step = chunk_rows if chunk_rows else self.ITER_CHUNK_ROWS
         if step <= 0:
             raise ValueError(f"chunk_rows must be > 0, got {step}")
-        for start in range(0, n, step):
-            end = start + step
-            yield from zip(
-                self.timestamps[start:end].tolist(),
-                self.clients[start:end].tolist(),
-                self.docs[start:end].tolist(),
-                self.sizes[start:end].tolist(),
-                self.versions[start:end].tolist(),
-            )
+        cols = (self.timestamps, self.clients, self.docs, self.sizes, self.versions)
+        return chain.from_iterable(
+            zip(*[col[start : start + step].tolist() for col in cols])
+            for start in range(0, len(self.timestamps), step)
+        )
 
     # -- derived properties -------------------------------------------
 

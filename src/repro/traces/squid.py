@@ -17,12 +17,12 @@ logs; we treat the field as an opaque key.  Only ``GET`` requests with a
 
 from __future__ import annotations
 
-import gzip
 import os
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.traces._parse_common import (
     ParseReport,
+    iter_lines,
     parse_size,
     parse_timestamp,
     resolve_errors,
@@ -33,21 +33,6 @@ from repro.traces.record import Trace
 __all__ = ["parse_squid_log", "write_squid_log"]
 
 _CACHEABLE_METHODS = {"GET"}
-
-
-def _iter_lines(source: str | os.PathLike | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-        # NLANR published its sanitized logs gzip-compressed.
-        if str(source).endswith(".gz"):
-            with gzip.open(source, "rt", encoding="utf-8", errors="replace") as fh:
-                yield from fh
-        else:
-            with open(source, "r", encoding="utf-8", errors="replace") as fh:
-                yield from fh
-    elif isinstance(source, str):
-        yield from source.splitlines()
-    else:
-        yield from source
 
 
 def parse_squid_log(
@@ -69,7 +54,7 @@ def parse_squid_log(
     """
     mode = resolve_errors(errors, strict)
     rows = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
+    for lineno, line in enumerate(iter_lines(source), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -48,6 +48,7 @@ chunk is O(``chunk_rows``).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -527,15 +528,10 @@ class TraceStream:
     ) -> Iterator[tuple[float, int, int, int, int]]:
         """Iterate ``(timestamp, client, doc, size, version)`` scalar
         rows, exactly like ``Trace.iter_rows`` on the materialised
-        trace."""
-        for ts, clients, docs, sizes, versions in self.chunks(chunk_rows):
-            yield from zip(
-                ts.tolist(),
-                clients.tolist(),
-                docs.tolist(),
-                sizes.tolist(),
-                versions.tolist(),
-            )
+        trace (a C-level iterator chaining one ``zip`` per chunk)."""
+        return chain.from_iterable(
+            zip(*[col.tolist() for col in cols]) for cols in self.chunks(chunk_rows)
+        )
 
     def materialise(self) -> Trace:
         """Concatenate the stream into a :class:`Trace` (for tests and

@@ -34,12 +34,16 @@ N_CLIENTS = 3
 
 #: small capacities, sizes and document ids, so evictions, refused
 #: inserts and refreshes grown past the capacity are all common.
+_capacity = st.sampled_from([0, 30, 60, 100])
+#: the last field: probe first and hand the fill the probed slot, as
+#: the replay loop does on a browser miss.
 _fill = st.tuples(
     st.just("fill"),
     st.integers(0, N_CLIENTS - 1),
     st.integers(0, 4),
     st.sampled_from([0, 5, 20, 35, 50, 90]),
     st.integers(0, 2),
+    st.booleans(),
 )
 _probe = st.tuples(
     st.just("probe"), st.integers(0, N_CLIENTS - 1), st.integers(0, 4)
@@ -61,16 +65,14 @@ def walk(flat: FlatBrowsers, c: int) -> list[tuple[int, int, int]]:
 
 
 @given(
-    caps=st.lists(
-        st.sampled_from([0, 30, 60, 100]), min_size=N_CLIENTS, max_size=N_CLIENTS
-    ),
+    capacity=_capacity,
     ops=st.lists(st.one_of(_fill, _probe), min_size=20, max_size=80),
     indexed=st.booleans(),
 )
 @settings(max_examples=example_budget(150), deadline=None)
-def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, indexed):
-    flat = FlatBrowsers(caps)
-    models = [LRUCache(cap) for cap in caps]
+def test_fill_and_probe_match_one_lru_cache_per_client(capacity, ops, indexed):
+    flat = FlatBrowsers(N_CLIENTS, capacity)
+    models = [LRUCache(capacity) for _ in range(N_CLIENTS)]
     got: list[tuple] = []
     want: list[tuple] = []
     now = 0.0
@@ -88,8 +90,13 @@ def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, indexed):
         now = float(step)
         live = sum(len(m) for m in models)
         if op[0] == "fill":
-            _, c, d, s, v = op
+            _, c, d, s, v, handoff = op
             model = models[c]
+            slot = None
+            if handoff:
+                entry = model.get(d)
+                slot = flat.probe(c, d)
+                assert (slot >= 0) == (entry is not None)
             already = d in model
             if not already and s <= model.capacity:
                 live += 1
@@ -99,9 +106,9 @@ def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, indexed):
             elif already:
                 want.append(("evict", c, d, now))
             if indexed:
-                flat.fill(c, d, s, v, now, on_insert, on_evict)
+                flat.fill(c, d, s, v, now, on_insert, on_evict, slot)
             else:
-                flat.fill(c, d, s, v, now, None, None)
+                flat.fill(c, d, s, v, now, None, None, slot)
         else:
             _, c, d = op
             entry = models[c].get(d)
@@ -123,7 +130,7 @@ def test_fill_and_probe_match_one_lru_cache_per_client(caps, ops, indexed):
 
 
 def test_oversized_refresh_is_reported_twice():
-    flat = FlatBrowsers([100])
+    flat = FlatBrowsers(1, 100)
     events: list[tuple] = []
 
     def on_insert(*args):
@@ -165,18 +172,17 @@ def chained(flat: FlatBrowsers) -> dict[int, list[int]]:
 
 
 @given(
-    caps=st.lists(
-        st.sampled_from([0, 30, 60, 100]), min_size=N_CLIENTS, max_size=N_CLIENTS
-    ),
+    capacity=_capacity,
     ops=st.lists(st.one_of(_fill, _probe), min_size=20, max_size=80),
 )
 @settings(max_examples=example_budget(100), deadline=None)
-def test_chain_index_matches_a_browser_index_fed_by_the_fills(caps, ops):
+def test_chain_index_matches_a_browser_index_fed_by_the_fills(capacity, ops):
     """The same fills and probes go into a pool read by a
     ``ChainIndex`` (no event handles) and into a pool reporting to a
     ``BrowserIndex``; refreshes, version changes and refreshes grown
     past the capacity are all common at these sizes."""
-    chain_pool, plain_pool = FlatBrowsers(caps), FlatBrowsers(caps)
+    chain_pool = FlatBrowsers(N_CLIENTS, capacity)
+    plain_pool = FlatBrowsers(N_CLIENTS, capacity)
     chain, exact = ChainIndex(chain_pool), BrowserIndex(N_CLIENTS)
     bans = [None, {0}, {1, 2}]
     for step, op in enumerate(ops):
@@ -185,9 +191,17 @@ def test_chain_index_matches_a_browser_index_fed_by_the_fills(caps, ops):
             _, c, d = op
             assert chain_pool.probe(c, d) == plain_pool.probe(c, d)
             continue
-        _, c, d, s, v = op
-        chain_pool.fill(c, d, s, v, now, chain.record_insert, chain.record_evict)
-        plain_pool.fill(c, d, s, v, now, exact.record_insert, exact.record_evict)
+        _, c, d, s, v, handoff = op
+        chain_slot = plain_slot = None
+        if handoff:
+            chain_slot, plain_slot = chain_pool.probe(c, d), plain_pool.probe(c, d)
+            assert chain_slot == plain_slot
+        chain_pool.fill(
+            c, d, s, v, now, chain.record_insert, chain.record_evict, chain_slot
+        )
+        plain_pool.fill(
+            c, d, s, v, now, exact.record_insert, exact.record_evict, plain_slot
+        )
         for doc in range(5):
             for version in (None, 0, 1, 2):
                 for exclude in (-1, c):
@@ -219,7 +233,7 @@ def _walk_objects(sim: Simulator) -> set[tuple[int, int, int, int]]:
     if sim.flat is not None:
         return {
             (doc, c, ver, size)
-            for c in range(len(sim.flat.caps))
+            for c in range(len(sim.flat.head))
             for doc, size, ver in walk(sim.flat, c)
         }
     return {

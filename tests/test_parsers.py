@@ -300,3 +300,35 @@ def test_skip_mode_parses_arbitrary_text(parse, lines, data):
     assert np.isfinite(trace.timestamps).all()
     assert len(trace) == report.parsed
     assert report.parsed + report.skipped <= len(content)
+
+
+@pytest.mark.parametrize("parse", [parse_squid_log, parse_bu_log], ids=["squid", "bu"])
+def test_directory_source_is_rejected_by_name(parse, tmp_path, monkeypatch):
+    """A ``str`` naming a directory (``"src"`` from a checkout's root)
+    raises a ``ValueError`` naming it, in either errors mode, instead of
+    an ``IsADirectoryError`` or a parse of the name as log text."""
+    (tmp_path / "src").mkdir()
+    monkeypatch.chdir(tmp_path)
+    for errors in ("raise", "skip"):
+        with pytest.raises(ValueError, match="'src' is a directory"):
+            parse("src", errors=errors)
+        with pytest.raises(ValueError, match="is a directory"):
+            parse(tmp_path, errors=errors)
+
+
+@pytest.mark.parametrize(
+    "parse, line",
+    [
+        (parse_squid_log, SQUID_LOG.splitlines()[1]),
+        (parse_bu_log, BU_LOG.splitlines()[1]),
+    ],
+    ids=["squid", "bu"],
+)
+def test_one_line_text_is_log_text(parse, line, tmp_path, monkeypatch):
+    """A one-line log text (no newline) is parsed as text, like the same
+    line in a file."""
+    monkeypatch.chdir(tmp_path)
+    one = parse(line, errors="raise")
+    assert len(one) == 1
+    (tmp_path / "log").write_text(line + "\n")
+    assert list(parse("log", errors="raise").sizes) == list(one.sizes)

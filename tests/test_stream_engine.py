@@ -34,7 +34,7 @@ from repro.core import (
     simulate,
     simulate_stream,
 )
-from repro.cache import FlatBrowsers, LRUCache
+from repro.cache import LRUCache
 from repro.cache.flat import DOC_BITS, DOC_MASK
 from repro.core.simulator import Simulator
 from repro.core.stream_engine import StreamSimulator, check_stream_config
@@ -49,6 +49,7 @@ from repro.network.topology import WANModel
 from repro.security.protocols import SecurityOverheadModel
 from repro.traces import SyntheticTraceConfig, TraceStream, generate_trace
 from repro.traces.record import Trace
+from tests.conftest import example_budget
 
 ALL_ORGS = list(Organization)
 
@@ -95,20 +96,46 @@ def test_identical_from_trace_stream():
     assert_identical(trace, cfg, source=stream)
 
 
+@st.composite
+def fault_knobs(draw):
+    """The fault knobs the flat backend accepts that run remote delivery
+    and failover between a request's browser probe and its fill: churn,
+    failover retries, corruption with quarantine, and the bloom index."""
+    kw = {
+        "max_holder_retries": draw(st.integers(0, 3)),
+        "index_kind": draw(st.sampled_from(["exact", "bloom"])),
+        "availability_seed": draw(st.integers(0, 2**20)),
+    }
+    if draw(st.booleans()):
+        # sessions of minutes to hours over the one-day trace
+        kw["churn"] = ChurnModel(
+            mean_on_seconds=draw(st.floats(300.0, 20_000.0)),
+            mean_off_seconds=draw(st.floats(300.0, 20_000.0)),
+            distribution=draw(st.sampled_from(["exponential", "pareto"])),
+        )
+    if draw(st.booleans()):
+        kw["corruption_rate"] = draw(st.sampled_from([0.1, 0.3, 0.6]))
+        kw["quarantine_threshold"] = draw(st.integers(0, 2))
+    return kw
+
+
 @given(
     seed=st.integers(0, 2**31),
     n=st.integers(1, 300),
     clients=st.integers(1, 12),
     proxy_frac=st.sampled_from([0.02, 0.1, 0.5]),
+    knobs=fault_knobs(),
 )
-@settings(max_examples=30, deadline=None)
-def test_identical_property(seed, n, clients, proxy_frac):
+@settings(max_examples=example_budget(30), deadline=None)
+def test_identical_property(seed, n, clients, proxy_frac, knobs):
     t = generate_trace(
         SyntheticTraceConfig(n_requests=n, n_clients=clients), seed=seed
     )
     if not t.has_dense_clients:  # n < clients cannot cover every id
         t = t.renumbered()
-    cfg = SimulationConfig.relative(t, proxy_frac=proxy_frac, browser_sizing="minimum")
+    cfg = SimulationConfig.relative(
+        t, proxy_frac=proxy_frac, browser_sizing="minimum"
+    ).with_(**knobs)
     assert_identical(t, cfg)
 
 
@@ -260,7 +287,7 @@ def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
     sim.run()
     flat = sim.flat
     walked = {}
-    for c in range(len(flat.caps)):
+    for c in range(len(flat.head)):
         slot = flat.head[c]
         while slot >= 0:
             walked.setdefault(flat.e_key[slot] & DOC_MASK, {})[c] = flat.e_ver[slot]
@@ -273,7 +300,7 @@ def test_truth_queries_read_the_holder_map_not_the_caches(monkeypatch):
     assert walked and chained == walked and sim._holders is None
 
     peeks = []
-    monkeypatch.setattr(FlatBrowsers, "probe", lambda *a: peeks.append(a) or -1)
+    monkeypatch.setattr(flat, "probe", lambda *a: peeks.append(a) or -1)
     monkeypatch.setattr(LRUCache, "peek", lambda *a: peeks.append(a))
     for doc, held in walked.items():
         for v in {*held.values(), max(held.values()) + 1}:
