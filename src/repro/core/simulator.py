@@ -1001,6 +1001,13 @@ class Simulator:
             peer_fetch = fed._interproxy_fetch if len(fed_sims) > 1 else None
             peer_fills = fed.fed.cache_interproxy_fetches
             monitor = fed.monitor
+            # the federation's index entries: each proxy's count when
+            # last re-read (after each of its requests and, at the peak
+            # check, the peers a probe touched: fed.probed), and their sum
+            pid = 0
+            fed_counts = [x.index.n_entries for x in fed_sims] if index is not None else []
+            fed_total = sum(fed_counts)
+            fed_probed = fed.probed
         else:
             peer_fetch = None
             monitor = self._monitor
@@ -1081,6 +1088,9 @@ class Simulator:
         for t, c, d, s, v in self.trace.iter_rows():
             # 0. routing and proxy crash recovery
             if fed is not None:
+                if index is not None:  # the previous request's home
+                    fed_total += index.n_entries - fed_counts[pid]
+                    fed_counts[pid] = index.n_entries
                 # the home proxy's pre-request work, then its handles
                 pid = route(t, c)
                 (sim, browsers, browser_gets, browser_puts, browser_entries,
@@ -1268,8 +1278,10 @@ class Simulator:
             # -- fill tail: populate the caches the serving step names
             if to_proxy:
                 if lru_p:
-                    # inlined LRUCache.put (proxy caches have no evict hook)
-                    old = proxy_entries.get(d)
+                    # inlined LRUCache.put (proxy caches have no evict
+                    # hook), reusing step 2's lookup: no later step touches
+                    # the home proxy, but coherence may have skipped step 2
+                    old = proxy_entries.get(d) if coherent else entry
                     if old is not None:
                         pused = proxy.used + s - old.size
                         old.size = s
@@ -1367,7 +1379,13 @@ class Simulator:
                 elif fed is None:
                     n = index.n_entries
                 else:
-                    n = sum([x.index.n_entries for x in fed_sims])
+                    fed_probed.append(pid)
+                    for q in fed_probed:
+                        n = fed_sims[q].index.n_entries
+                        fed_total += n - fed_counts[q]
+                        fed_counts[q] = n
+                    fed_probed.clear()
+                    n = fed_total
                 if n > peak_entries:
                     peak_entries = n
                     if pool_entries is None:

@@ -14,8 +14,9 @@ from live state with plain set operations, then adds or subtracts the
 hash positions of only the keys that joined or left, so its hashing
 cost grows with churn between exchanges, not with cache size.  The
 bits are exactly the positions whose count is positive, which is the
-OR-build of the member set, and each shipped digest is an immutable
-snapshot of them (:func:`build_proxy_digest`).
+OR-build of the member set.  Each shipped digest
+(:func:`build_proxy_digest`) reads them into its int bitset with one
+``int.from_bytes``, so a peer's claim is one memoised mask and one AND.
 
 Digests go stale between exchanges exactly like Summary Cache
 summaries: a claim may outlive the content (false hit — a wasted
@@ -41,8 +42,6 @@ from __future__ import annotations
 
 from array import array
 
-import numpy as np
-
 from repro.core.config import FederationConfig
 from repro.index.bloom import BloomFilter, key_positions
 
@@ -54,7 +53,7 @@ class CountingSummary:
 
     ``members`` is the key set of the last update and ``counts[p]`` the
     number of (member, hash) pairs landing on bit *p*, duplicates
-    included, so ``bits`` (the filter's words as little-endian bytes)
+    included, so ``bits`` (bit *p* is bit ``p & 7`` of byte ``p >> 3``)
     is exactly ``{p : counts[p] > 0}`` — the bits an OR-build of
     ``members`` would set.
     """
@@ -85,9 +84,9 @@ class CountingSummary:
                 bits[p >> 3] &= ~(1 << (p & 7))
 
     def snapshot(self, n_added: int) -> BloomFilter:
-        """A read-only copy of the current bits, as a shippable digest."""
+        """The current bits as a shippable digest."""
         digest = BloomFilter(self.n_bits, self.n_hashes)
-        digest._bits = np.frombuffer(bytes(self.bits), dtype="<u8")
+        digest.bitset = int.from_bytes(self.bits, "little")
         digest.n_added = n_added
         return digest
 
@@ -144,6 +143,8 @@ class DigestDirectory:
     ) -> None:
         self.fed = fed
         self.capacity = capacity
+        #: fresh-digest anchor: claims never go stale, exchanges are free.
+        self.oracle = fed.digest_period == 0.0
         self.digests: list[BloomFilter | None] = [None] * fed.n_proxies
         #: views[viewer][about]: the digest *viewer* currently holds
         #: about proxy *about* (partitioned mode only).
@@ -164,11 +165,6 @@ class DigestDirectory:
         self.exchanges = 0
         self.antientropy_refreshes = 0
         self._last_exchange: float | None = None
-
-    @property
-    def oracle(self) -> bool:
-        """Fresh-digest anchor: claims never go stale, exchanges are free."""
-        return self.fed.digest_period == 0.0
 
     def maybe_exchange(self, sims, t: float, result, schedule=None) -> None:
         """Run a digest exchange if one is due at time *t*.

@@ -147,6 +147,10 @@ class FederatedSimulator:
             # truth, so every proxy keeps its holder map.
             for sim in self.sims:
                 sim._track_holders()
+        #: peers probed since the replay loop last re-read their index
+        #: entry counts (see Simulator._replay's peak check); None
+        #: without an index, where nothing reads them.
+        self.probed: list[int] | None = [] if self.features.has_index else None
         self._needs_recovery = [
             sim._fault_schedule is not None or sim._checkpointer is not None
             for sim in self.sims
@@ -249,7 +253,11 @@ class FederatedSimulator:
         After all claimants fail, reachable peers whose digest did
         *not* claim *d* are checked (side-effect free) for the opposite
         staleness: a peer that could have served counts one
-        ``digest_missed_hits``.
+        ``digest_missed_hits``.  Exchanged digests change only in
+        :meth:`_route`, so that check reuses the claims the probe loop
+        read; oracle claims read live state, which a probe can change
+        (a crash in :meth:`_advance`, an evicting failover), so oracle
+        mode asks again.
         """
         fed = self.fed
         sims = self.sims
@@ -258,9 +266,12 @@ class FederatedSimulator:
         result = self.result
         overhead = result.overhead
         n = fed.n_proxies
+        claimed = []
         for offset in range(1, n):
             q = (pid + offset) % n
-            if not directory.claims(sims, q, d, viewer=pid):
+            claim = directory.claims(sims, q, d, viewer=pid)
+            claimed.append(claim)
+            if not claim:
                 continue
             if schedule is not None and not schedule.connected(pid, q):
                 setup = fed.interproxy_setup
@@ -272,6 +283,8 @@ class FederatedSimulator:
             # (including any recovery degradation), not its state at
             # the peer's last home request.
             self._advance(q, t)
+            if self.probed is not None:
+                self.probed.append(q)
             served, memory = self._peer_serve(sims[q], c, d, s, v, t)
             if served:
                 # one inter-proxy transfer, then the home LAN leg
@@ -284,13 +297,14 @@ class FederatedSimulator:
             overhead.wasted_round_trip_time += setup
             overhead.wasted_false_hit_time += setup
             result.interproxy_bandwidth_time += setup
-        for offset in range(1, n):
+        live = directory.oracle
+        for offset, claim in enumerate(claimed, 1):
             q = (pid + offset) % n
             if schedule is not None and not schedule.connected(pid, q):
                 # An unreachable peer is partition loss, not digest
                 # staleness — never a missed hit.
                 continue
-            if directory.claims(sims, q, d, viewer=pid):
+            if directory.claims(sims, q, d, viewer=pid) if live else claim:
                 continue
             if self._could_serve(sims[q], c, d, v):
                 result.digest_missed_hits += 1

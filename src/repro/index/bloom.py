@@ -15,30 +15,30 @@ Mitzenmacher: two independent hashes generate k), so a single-key add
 or query is O(k) with no digest computation in the hot path.  The same
 document is hashed for many filters of one shape (a browser-index row
 on every insert and lookup, each peer digest a miss consults, counting
-summary updates, small rebuilds), so a key's positions and its
-:func:`key_words` arrays (built on first use) are computed once per
-filter shape ``(n_bits, n_hashes)`` and kept in one process-wide memo
-of at most ``_MEMO_KEYS`` (4,096) keys, oldest dropped first.  Entries
-are a pure function of the key and shape, so sharing them is safe; the
-cached arrays are read-only.  :meth:`BloomFilter.__contains__` tests those
-positions on a byte view of the filter's little-endian words, with no
-numpy scalar per bit.  On the 4-proxy ``federated-chaos`` benchmark
-workload this made replay ~1.6x faster (~1.3x with the memo cleared
-before every run), with bit-identical results, for under 1 MiB of
-memory.
+summary updates, small rebuilds), so a key's positions and its int
+mask (:func:`key_mask`: ``1 << p`` ORed over its positions, built on
+first use) are computed once per filter shape ``(n_bits, n_hashes)``
+and kept in one process-wide memo of at most ``_MEMO_KEYS`` (4,096)
+keys, oldest dropped first.  Entries are a pure function of the key and
+shape, so sharing them is safe.
 
-Bulk loads take the batch path, :meth:`BloomFilter.add_many` (and
-:func:`set_key_bits` on any word array): the same SplitMix64 mix over a
+A filter's bits are one Python ``int``, :attr:`BloomFilter.bitset`
+(bit *p* of the int is filter bit *p*): :meth:`BloomFilter.add` ORs
+the key's mask in and ``key in f`` is ``f.bitset & m == m``, two
+C-level int operations with no per-bit loop and no numpy call.
+``BloomFilter._bits`` shows the same bits as read-only ``uint64``
+words (bit *p* is bit ``p & 63`` of word ``p >> 6``) and accepts words.
+
+Bulk loads take the batch path, :func:`keys_mask` (behind
+:meth:`BloomFilter.add_many`): the same SplitMix64 mix over a
 ``uint64`` array, positions ``(h1 % m + i * (h2 % m)) % m`` — equal to
-the single-key ``(h1 + i * h2) % m`` — and one ``np.bitwise_or.at``,
-so the bits match repeated :meth:`BloomFilter.add` exactly.  A batch
-of fewer than ``_BATCH_MIN_KEYS`` keys is hashed key by key instead
-(through the memo), where numpy's per-call overhead would dominate;
-the positions are the same.  :func:`key_positions` exposes those
-positions to callers that count them (the federation's counting
-digests).  :func:`key_words` gives one key's bits as (word, mask)
-arrays for callers that test many same-shaped filters at once
-(:class:`~repro.index.engine_bloom.BloomBrowserIndex`).
+the single-key ``(h1 + i * h2) % m`` — set in one boolean array that is
+packed into an int once, so the bits match repeated
+:meth:`BloomFilter.add` exactly.  A batch of fewer than
+``_BATCH_MIN_KEYS`` keys ORs the memoised masks instead, where numpy's
+per-call overhead would dominate; the bits are the same.
+:func:`key_positions` exposes the positions to callers that count them
+(the federation's counting digests).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["BloomFilter", "key_positions", "key_words", "set_key_bits"]
+__all__ = ["BloomFilter", "key_mask", "key_positions", "keys_mask"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -85,44 +85,36 @@ def _positions(key: int, n_bits: int, n_hashes: int):
 #: oldest pair is dropped.
 _MEMO_KEYS = 4096
 
-#: ``(key, n_bits, n_hashes) -> [positions, words, masks]``, process-wide:
+#: ``(key, n_bits, n_hashes) -> [positions, mask]``, process-wide:
 #: every entry is a pure function of its key, so sharing is safe.  The
-#: arrays are built on the first :func:`key_words` call (digest-shaped
-#: keys never need them).
+#: mask is built on the first :func:`key_mask` call.
 _memo: dict[tuple[int, int, int], list] = {}
 
 
 def _key_bits(key: int, n_bits: int, n_hashes: int) -> list:
     """*key*'s memo entry: its :func:`_positions` as a tuple, then its
-    :func:`key_words` arrays or ``None`` until first asked for.  The
-    key is hashed once per filter shape while the entry stays in the
-    memo."""
+    :func:`key_mask` or ``None`` until first asked for.  The key is
+    hashed once per filter shape while the entry stays in the memo."""
     memo_key = (key, n_bits, n_hashes)
     entry = _memo.get(memo_key)
     if entry is None:
         if len(_memo) >= _MEMO_KEYS:
             del _memo[next(iter(_memo))]
-        positions = tuple(_positions(key, n_bits, n_hashes))
-        entry = _memo[memo_key] = [positions, None, None]
+        entry = _memo[memo_key] = [tuple(_positions(key, n_bits, n_hashes)), None]
     return entry
 
 
-def key_words(key: int, n_bits: int, n_hashes: int) -> tuple[np.ndarray, np.ndarray]:
-    """*key*'s bits as ``(words, masks)``: each distinct word index
-    (``intp``) once, with the OR of its bits (``uint64``).  Both arrays
-    are shared through the memo and read-only."""
+def key_mask(key: int, n_bits: int, n_hashes: int) -> int:
+    """*key*'s bits as one int, ``1 << p`` ORed over its positions;
+    memoised with them."""
     entry = _key_bits(key, n_bits, n_hashes)
-    if entry[1] is None:
-        acc: dict[int, int] = {}
+    mask = entry[1]
+    if mask is None:
+        mask = 0
         for pos in entry[0]:
-            word = pos >> 6
-            acc[word] = acc.get(word, 0) | (1 << (pos & 63))
-        n = len(acc)
-        words = np.fromiter(acc, np.intp, n)
-        masks = np.fromiter(acc.values(), np.uint64, n)
-        words.flags.writeable = masks.flags.writeable = False
-        entry[1:] = words, masks
-    return entry[1], entry[2]
+            mask |= 1 << pos
+        entry[1] = mask
+    return mask
 
 
 def _batch_positions(keys, n_bits: int, n_hashes: int) -> np.ndarray:
@@ -149,20 +141,18 @@ def key_positions(keys, n_bits: int, n_hashes: int) -> list[int]:
     return _batch_positions(keys, n_bits, n_hashes).tolist()
 
 
-def set_key_bits(bits: np.ndarray, keys, n_bits: int, n_hashes: int) -> int:
-    """OR every key's bits into the word array *bits* in one batch;
-    returns the number of keys.  *keys* is a sized collection of
-    integers that fit in ``int64``; a small one is gathered into one
-    Python int and ORed in as little-endian words."""
+def keys_mask(keys, n_bits: int, n_hashes: int) -> int:
+    """Every key's :func:`key_mask` ORed into one int.  *keys* is a
+    sized collection of integers that fit in ``int64``; a large one is
+    hashed in one numpy batch and packed into the int once."""
     if len(keys) < _BATCH_MIN_KEYS:
-        acc = 0
-        for pos in key_positions(keys, n_bits, n_hashes):
-            acc |= 1 << pos
-        bits |= np.frombuffer(acc.to_bytes(bits.nbytes, "little"), dtype="<u8")
-        return len(keys)
-    pos = _batch_positions(keys, n_bits, n_hashes)
-    np.bitwise_or.at(bits, (pos >> 6).astype(np.intp), np.uint64(1) << (pos & 63))
-    return pos.size // n_hashes
+        mask = 0
+        for key in keys:
+            mask |= key_mask(key, n_bits, n_hashes)
+        return mask
+    flags = np.zeros(n_bits, dtype=np.bool_)
+    flags[_batch_positions(keys, n_bits, n_hashes)] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class BloomFilter:
@@ -173,7 +163,8 @@ class BloomFilter:
         check_positive("n_hashes", n_hashes)
         self.n_bits = int(n_bits)
         self.n_hashes = int(n_hashes)
-        self._bits = np.zeros((self.n_bits + 63) // 64, dtype=np.uint64)
+        #: the filter's bits: bit *p* of this int is filter bit *p*.
+        self.bitset = 0
         self.n_added = 0
 
     @classmethod
@@ -187,53 +178,37 @@ class BloomFilter:
 
     @property
     def _bits(self) -> np.ndarray:
-        """The filter's ``uint64`` words: bit *p* is bit ``p & 63`` of
-        word ``p >> 6``."""
-        return self._words
+        """The filter's bits as read-only ``uint64`` words: bit *p* is
+        bit ``p & 63`` of word ``p >> 6``."""
+        return np.frombuffer(self.bitset.to_bytes(self.size_bytes, "little"), dtype="<u8")
 
     @_bits.setter
-    def _bits(self, words: np.ndarray) -> None:
-        # Every replacement re-points the byte view membership tests
-        # read: in little-endian words, bit p is bit p & 7 of byte p >> 3
-        # (the conversion copies only on a big-endian host).
-        self._words = words.astype("<u8", copy=False)
-        self._bytes = memoryview(self._words).cast("B")
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_bytes"]  # a memoryview does not pickle
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        words = state.pop("_words")
-        self.__dict__.update(state)
-        self._bits = words
+    def _bits(self, words) -> None:
+        self.bitset = int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
 
     def add(self, key: int) -> None:
-        words, masks = key_words(key, self.n_bits, self.n_hashes)
-        self._bits[words] |= masks
+        self.bitset |= key_mask(key, self.n_bits, self.n_hashes)
         self.n_added += 1
 
     def add_many(self, keys) -> None:
-        """Add every key in *keys* in one batch; bits and ``n_added``
-        end up exactly as after one :meth:`add` per key."""
-        self.n_added += set_key_bits(self._bits, keys, self.n_bits, self.n_hashes)
+        """Add every key in *keys* (a sized collection) in one batch;
+        bits and ``n_added`` end up exactly as after one :meth:`add`
+        per key."""
+        self.bitset |= keys_mask(keys, self.n_bits, self.n_hashes)
+        self.n_added += len(keys)
 
     def __contains__(self, key: int) -> bool:
-        view = self._bytes
-        for pos in _key_bits(key, self.n_bits, self.n_hashes)[0]:
-            if not (view[pos >> 3] >> (pos & 7)) & 1:
-                return False
-        return True
+        mask = key_mask(key, self.n_bits, self.n_hashes)
+        return self.bitset & mask == mask
 
     def clear(self) -> None:
-        self._bits[:] = 0
+        self.bitset = 0
         self.n_added = 0
 
     def copy(self) -> "BloomFilter":
-        """Independent deep copy (checkpointing snapshots filters)."""
+        """Independent copy (checkpointing snapshots filters)."""
         out = BloomFilter(self.n_bits, self.n_hashes)
-        out._bits = self._bits.copy()
+        out.bitset = self.bitset
         out.n_added = self.n_added
         return out
 
@@ -242,14 +217,13 @@ class BloomFilter:
         if (self.n_bits, self.n_hashes) != (other.n_bits, other.n_hashes):
             raise ValueError("can only union identically shaped Bloom filters")
         out = BloomFilter(self.n_bits, self.n_hashes)
-        out._bits = self._bits | other._bits
+        out.bitset = self.bitset | other.bitset
         out.n_added = self.n_added + other.n_added
         return out
 
     def fill_fraction(self) -> float:
         """Fraction of bits set."""
-        set_bits = int(np.bitwise_count(self._bits).sum())
-        return set_bits / self.n_bits
+        return self.bitset.bit_count() / self.n_bits
 
     def false_positive_rate(self) -> float:
         """Estimated FP probability at the current fill level."""
@@ -257,5 +231,6 @@ class BloomFilter:
 
     @property
     def size_bytes(self) -> int:
-        return self._bits.nbytes
+        """The filter's size as whole 64-bit words."""
+        return (self.n_bits + 63) // 64 * 8
 

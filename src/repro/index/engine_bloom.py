@@ -13,18 +13,20 @@ plain Bloom collisions); the simulation engine validates every
 candidate against the true browser cache and charges a wasted round
 trip for false hits, exactly as with the periodic exact index.
 
-Layout: the per-client filters are the rows of one ``(n_clients,
-words)`` ``uint64`` bit matrix, each row shaped like
-:meth:`BloomBrowserIndex._new_filter`.  A lookup takes the document's
-(word, mask) pairs from the shared hash memo
-(:func:`~repro.index.bloom.key_words`, hashed once per filter shape)
-and tests every client with one column gather and one
-``np.logical_and.reduce``, so claimants come out in ascending client
-order; an insert ORs the same pairs into one row; a rebuild or
-re-announcement refills one row in a single batch
-(:func:`~repro.index.bloom.set_key_bits`); a snapshot is a copy of the
-matrix.  ``n_entries`` is a running count and ``footprint_bytes()`` the
-matrix size, so both are O(1).
+Layout: bit-sliced Python-int bitsets.  ``_rows[c]`` is client *c*'s
+filter as one int (shaped like :meth:`BloomBrowserIndex._new_filter`)
+and ``_cols[p]`` the int of clients whose filter has bit *p*.  A lookup
+ANDs the document's at most k columns (its positions come from the
+shared hash memo, hashed once per filter shape), stopping at the first
+empty result, and lists the set bits, so claimants come out in
+ascending client order with no per-client work.  An insert ORs the
+document's mask (:func:`~repro.index.bloom.key_mask`) into the row; a
+rebuild, re-announcement or restore recomputes the row in one batch
+(:func:`~repro.index.bloom.keys_mask`).  Either way only the columns of
+the bits that changed flip the client's bit.  A snapshot is a copy of the
+row list.  ``n_entries`` is a running count and ``footprint_bytes()``
+the modelled filter size (``n_clients`` filters of whole 64-bit words),
+so both are O(1).
 
 The claimed contents behind the filters are also kept per document: a
 ``doc -> number of clients claiming it`` map, updated by every insert,
@@ -38,9 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
-from repro.index.bloom import BloomFilter, key_words, set_key_bits
+from repro.index.bloom import BloomFilter, _key_bits, key_mask, keys_mask
 from repro.index.browser_index import IndexLookup
 from repro.index.entry import IndexEntry
 from repro.index.staleness import StalenessStats
@@ -49,7 +49,7 @@ __all__ = ["BloomBrowserIndex"]
 
 
 class BloomBrowserIndex:
-    """Summary-Cache style index: one Bloom filter (matrix row) per client.
+    """Summary-Cache style index: one Bloom filter (an int row) per client.
 
     Exposes the same interface the engine uses on
     :class:`~repro.index.browser_index.BrowserIndex`.
@@ -79,8 +79,11 @@ class BloomBrowserIndex:
         shape = self._new_filter()
         self._n_bits = shape.n_bits
         self._n_hashes = shape.n_hashes
-        #: row c is client c's filter words.
-        self._bits = np.zeros((n_clients, shape._bits.size), dtype=np.uint64)
+        #: ``_rows[c]``: client c's filter bits; ``_cols[p]``: the
+        #: clients whose filter has bit p.
+        self._rows = [0] * n_clients
+        self._cols = [0] * shape.n_bits
+        self._footprint = n_clients * shape.size_bytes
         #: true per-client contents (each client knows its own cache and
         #: sends the full summary on rebuild): client -> {doc: (version, size)}
         self._contents: list[dict[int, tuple[int, int]]] = [
@@ -126,8 +129,9 @@ class BloomBrowserIndex:
             self.n_entries += 1
             self._claims[doc] += 1
         contents[doc] = (version, size)
-        words, masks = key_words(doc, self._n_bits, self._n_hashes)
-        self._bits[client, words] |= masks
+        self._set_row(
+            client, self._rows[client] | key_mask(doc, self._n_bits, self._n_hashes)
+        )
         if replace:
             # a new version under the same key: the filter entry is
             # already present, nothing stale is introduced
@@ -167,17 +171,29 @@ class BloomBrowserIndex:
 
     def _refill(self, client: int) -> None:
         """Reset *client*'s row to a summary of its claimed contents."""
-        row = self._bits[client]
-        row.fill(0)
-        set_key_bits(row, self._contents[client], self._n_bits, self._n_hashes)
+        self._set_row(
+            client, keys_mask(self._contents[client], self._n_bits, self._n_hashes)
+        )
+
+    def _set_row(self, client: int, row: int) -> None:
+        """Replace *client*'s row, toggling its bit in the column of
+        every bit that changed."""
+        changed = self._rows[client] ^ row
+        self._rows[client] = row
+        cols = self._cols
+        flag = 1 << client
+        while changed:
+            pos = changed.bit_length() - 1
+            cols[pos] ^= flag
+            changed ^= 1 << pos
 
     # -- crash recovery ----------------------------------------------------
 
     def export_snapshot(self) -> dict:
         """Deep copy of the proxy-side summary state for a checkpoint:
-        the filter matrix plus the claimed contents it summarises."""
+        the filter rows plus the claimed contents they summarise."""
         return {
-            "bits": self._bits.copy(),
+            "rows": list(self._rows),
             "contents": [dict(c) for c in self._contents],
             "changes": list(self._changes_since_rebuild),
         }
@@ -186,7 +202,8 @@ class BloomBrowserIndex:
         """Replace the summaries with a checkpoint's state.  Restored
         filters may claim documents their clients evicted after the
         snapshot — those surface as false hits attributed to recovery."""
-        self._bits = payload["bits"].copy()
+        for client, row in enumerate(payload["rows"]):
+            self._set_row(client, row)
         self._contents = [dict(c) for c in payload["contents"]]
         self.n_entries = sum(len(c) for c in self._contents)
         self._claims = Counter()
@@ -255,11 +272,19 @@ class BloomBrowserIndex:
     def holders_of(self, doc: int) -> list[int]:
         """Clients whose summary claims *doc* (may be false positives),
         ascending."""
-        words, masks = key_words(doc, self._n_bits, self._n_hashes)
-        claimed = np.logical_and.reduce(
-            (self._bits[:, words] & masks) == masks, axis=1
-        )
-        return np.flatnonzero(claimed).tolist()
+        cols = self._cols
+        claimed = -1
+        for pos in _key_bits(doc, self._n_bits, self._n_hashes)[0]:
+            claimed &= cols[pos]
+            if not claimed:
+                return []
+        holders = []
+        while claimed:
+            client = claimed.bit_length() - 1
+            holders.append(client)
+            claimed ^= 1 << client
+        holders.reverse()
+        return holders
 
     def candidate_holders(
         self,
@@ -296,8 +321,9 @@ class BloomBrowserIndex:
     # -- accounting ----------------------------------------------------------
 
     def footprint_bytes(self) -> int:
-        """Proxy-side memory: the filters themselves."""
-        return self._bits.nbytes
+        """Proxy-side memory: the filters themselves, each in whole
+        64-bit words."""
+        return self._footprint
 
     @property
     def update_messages(self) -> int:

@@ -15,8 +15,9 @@ from repro.index.bloom import (
     _batch_positions,
     _key_bits,
     _memo,
+    key_mask,
     key_positions,
-    key_words,
+    keys_mask,
 )
 from repro.index.signatures import IndexSpaceModel
 from tests.conftest import bloom_claims, bloom_positions, example_budget
@@ -127,41 +128,32 @@ def test_key_positions_follow_double_hashing(n_bits, n_hashes, keys):
     """Every hashing path lists ``(h1 + i * h2) % n_bits`` key by key,
     as computed here without the memo: ``key_positions`` (one key at a
     time for small batches, vectorised for large ones),
-    ``_batch_positions``, and a key's memoised positions and
-    ``key_words``, both when first hashed and when served from the
-    memo.  A batch of more distinct keys than the memo holds checks
-    keys recomputed after eviction, and the memo stays bounded.  The
-    memoised arrays are shared, so they must refuse writes."""
+    ``_batch_positions``, a key's memoised positions and ``key_mask``,
+    both when first hashed and when served from the memo, and the
+    batch ``keys_mask``.  A batch of more distinct keys than the memo
+    holds checks keys recomputed after eviction, and the memo stays
+    bounded."""
     want = [bloom_positions(key, n_bits, n_hashes) for key in keys]
     flat = [p for positions in want for p in positions]
     assert key_positions(keys, n_bits, n_hashes) == flat
     assert _batch_positions(keys, n_bits, n_hashes).tolist() == flat
-    def masks_by_word(positions):
-        acc = {}
-        for p in positions:
-            acc[p >> 6] = acc.get(p >> 6, 0) | 1 << (p & 63)
-        return sorted(acc.items())
 
+    def mask_of(positions):
+        return sum(1 << p for p in set(positions))
+
+    assert keys_mask(keys, n_bits, n_hashes) == mask_of(flat)
     for key, positions in zip(keys, want):
         _memo.pop((key, n_bits, n_hashes), None)
         for _ in range(2):  # first hashed, then memoised
-            words, masks = key_words(key, n_bits, n_hashes)
+            mask = key_mask(key, n_bits, n_hashes)
             assert list(_key_bits(key, n_bits, n_hashes)[0]) == positions
-            assert len(set(words.tolist())) == len(words)
-            assert sorted(zip(words.tolist(), masks.tolist())) == masks_by_word(
-                positions
-            )
-        with pytest.raises(ValueError):
-            words[0] = 0
-        with pytest.raises(ValueError):
-            masks[0] = 0
+            assert mask == mask_of(positions)
     assert len(_memo) <= _MEMO_KEYS
     if len(set(keys)) > _MEMO_KEYS:
         assert (keys[0], n_bits, n_hashes) not in _memo
     for key, positions in zip(keys, want):
         assert list(_key_bits(key, n_bits, n_hashes)[0]) == positions
-        words, masks = key_words(key, n_bits, n_hashes)
-        assert sorted(zip(words.tolist(), masks.tolist())) == masks_by_word(positions)
+        assert key_mask(key, n_bits, n_hashes) == mask_of(positions)
 
 
 @settings(max_examples=example_budget(60), deadline=None)

@@ -127,7 +127,7 @@ def test_bloom_sizing_unchanged_for_uniform_capacity(small_trace):
     assert sim.index.expected_docs == max(8, config.browser_capacity // avg_doc)
 
 
-# -- the bit matrix against a list-of-filters model -----------------------------
+# -- the bit-sliced index against a list-of-filters model ----------------------
 
 
 class ListOfFiltersModel:
@@ -135,8 +135,8 @@ class ListOfFiltersModel:
     per client, filled key by key from the closed-form positions and
     tested bit by bit (:func:`tests.conftest.bloom_claims`).  Only the
     filter shape comes from :class:`BloomFilter`; the index's hashing,
-    word masks, column gather, batch refill and running counts are not
-    shared, so a membership bug cannot pass on both sides."""
+    int masks, bit-sliced columns, batch refill and running counts are
+    not shared, so a membership bug cannot pass on both sides."""
 
     def __init__(self, n_clients, expected, bits_per_doc, threshold):
         shape = BloomFilter.for_capacity(expected, bits_per_doc)
@@ -199,8 +199,19 @@ class ListOfFiltersModel:
         return [
             c
             for c, words in enumerate(self.filters)
-            if bloom_claims(words, doc, self.n_bits, self.n_hashes)
+            if any(words) and bloom_claims(words, doc, self.n_bits, self.n_hashes)
         ]
+
+    def columns(self):
+        """Per bit position, the clients whose filter has that bit, as an
+        int."""
+        cols = [0] * self.n_bits
+        for c, words in enumerate(self.filters):
+            if any(words):
+                for p in range(self.n_bits):
+                    if words[p >> 6] >> (p & 63) & 1:
+                        cols[p] |= 1 << c
+        return cols
 
     def lookup(self, doc, exclude, banned):
         cands = [c for c in self.holders_of(doc) if c != exclude]
@@ -218,8 +229,10 @@ class ListOfFiltersModel:
         return 8 * self.n_words * len(self.filters)
 
 
-N_MODEL_CLIENTS = 5
-_client = st.integers(0, N_MODEL_CLIENTS - 1)
+#: the model's client ids: five dense ids, or five spread past several
+#: 64-bit words of a 251-client index, so columns are multi-digit ints.
+_CLIENT_LAYOUTS = ((0, 1, 2, 3, 4), (0, 31, 64, 129, 250))
+_client = st.integers(0, 4)  # an index into the drawn layout
 _doc = st.integers(0, 40)
 _ops = st.lists(
     st.one_of(
@@ -240,44 +253,55 @@ _ops = st.lists(
 @settings(max_examples=example_budget(60), deadline=None)
 @given(
     ops=_ops,
+    ids=st.sampled_from(_CLIENT_LAYOUTS),
     expected=st.integers(1, 24),
     bits_per_doc=st.sampled_from([3.0, 8.0, 16.0]),
     threshold=st.sampled_from([0.1, 0.5, 1.0]),
 )
-def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, threshold):
+def test_bit_matrix_matches_list_of_filters(ops, ids, expected, bits_per_doc, threshold):
     """Random insert/evict/rebuild/reannounce/export/restore sequences
-    leave the bit-matrix index holding exactly the words of one filter
-    per client and answering like it: holders, the round-robin lookup
-    pick, failover candidates, the entry count and the footprint.  The
+    leave the bit-sliced index holding exactly the words of one filter
+    per client, in its rows and in its columns, and answering like it:
+    holders, the round-robin lookup pick, failover candidates, the
+    entry count and the footprint.  Client ids spread over a 251-client
+    index make the columns span several machine words.  The
     running claim counts agree with the per-client contents:
     ``claimed_docs()`` is their union and ``claims_doc`` tests
     membership in it.  Small filters (sizes that are not a multiple of
     64 bits) make collisions — false positives the two layouts must
     agree on — common."""
+    n_clients = ids[-1] + 1
     index = BloomBrowserIndex(
-        N_MODEL_CLIENTS,
+        n_clients,
         expected_docs_per_client=expected,
         bits_per_doc=bits_per_doc,
         rebuild_threshold=threshold,
     )
-    model = ListOfFiltersModel(N_MODEL_CLIENTS, expected, bits_per_doc, threshold)
+    model = ListOfFiltersModel(n_clients, expected, bits_per_doc, threshold)
+
+    def words_of(row):
+        return [row >> (64 * i) & (2**64 - 1) for i in range(model.n_words)]
+
     snapshots = None
     for now, op in enumerate(ops):
         kind = op[0]
         if kind == "insert":
             _, client, doc, version = op
+            client = ids[client]
             replace = doc in model.contents[client]
             index.record_insert(client, doc, version, 100, now, replace=replace)
             model.insert(client, doc, version, replace)
         elif kind == "evict":
             _, client, doc = op
+            client = ids[client]
             index.record_evict(client, doc, now)
             model.evict(client, doc)
         elif kind == "rebuild":
-            index.rebuild(op[1], now)
-            model.rebuild(op[1])
+            index.rebuild(ids[op[1]], now)
+            model.rebuild(ids[op[1]])
         elif kind == "reannounce":
             _, client, docs = op
+            client = ids[client]
             announced = index.reannounce(client, [(d, 0, 100) for d in docs], now)
             model.reannounce(client, docs)
             assert announced == len(set(docs))
@@ -288,16 +312,19 @@ def test_bit_matrix_matches_list_of_filters(ops, expected, bits_per_doc, thresho
             model.restore(snapshots[1])
         elif kind == "lookup":
             _, doc, exclude, banned = op
+            exclude = ids[exclude]
+            banned = frozenset(ids[b] for b in banned)
             hit = index.lookup(doc, exclude, now, banned=banned or None)
             want = model.lookup(doc, exclude, banned)
             assert (hit.client if hit is not None else None) == want
-        assert index._bits.tolist() == model.filters
+        assert [words_of(row) for row in index._rows] == model.filters
+        assert index._cols == model.columns()
         claimed = set().union(*model.contents)
         assert set(index.claimed_docs()) == claimed
         for doc in range(41):
             holders = model.holders_of(doc)
             assert index.holders_of(doc) == holders
-            exclude = doc % N_MODEL_CLIENTS
+            exclude = ids[doc % len(ids)]
             assert index.candidate_holders(doc, exclude, now) == [
                 c for c in holders if c != exclude
             ]

@@ -15,7 +15,7 @@ import hashlib
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.consistency.policies import (
     AdaptiveTTLPolicy,
@@ -321,6 +321,118 @@ def test_counting_digests_match_from_scratch_builds(
     assert held <= {id(d) for d, _ in shipped}
 
 
+@settings(max_examples=example_budget(20), deadline=None)
+@given(
+    n_proxies=st.integers(2, 4),
+    oracle=st.booleans(),
+    partitioned=st.booleans(),
+    index_knobs=st.sampled_from([{}, {"index_kind": "bloom"}]),
+    crash_fracs=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=4),
+    window_start=st.floats(0.1, 0.5),
+    window_len=st.floats(0.1, 0.3),
+    trace_seed=st.integers(0, 3),
+)
+@example(  # a probe crashes an oracle-claimed peer before the missed-hit loop
+    n_proxies=2, oracle=True, partitioned=False, index_knobs={},
+    crash_fracs=[0.05], window_start=0.5, window_len=0.25, trace_seed=0,
+)
+@example(
+    n_proxies=3, oracle=False, partitioned=True, index_knobs={"index_kind": "bloom"},
+    crash_fracs=[0.3, 0.7], window_start=0.3, window_len=0.2, trace_seed=1,
+)
+def test_interproxy_fetch_acts_on_fresh_claims(
+    n_proxies, oracle, partitioned, index_knobs, crash_fracs, window_start,
+    window_len, trace_seed,
+):
+    """Every claim ``_interproxy_fetch`` acts on equals a fresh
+    ``DigestDirectory.claims`` call at the same instant.  The probe
+    loop probes exactly the reachable peers claiming the document
+    (read when the fetch starts: probing one peer leaves the others
+    untouched), in order, until one serves; the missed-hit loop checks
+    exactly the reachable peers not claiming it once the probes are
+    done, in order, until one could have served.  Covers shared and
+    partitioned views across exchanges, a partition heal (anti-entropy)
+    and peer crashes, and oracle mode (``digest_period=0``), where a
+    probe that crashes a peer changes that peer's claim between the
+    two loops."""
+    trace = generate_trace(
+        SyntheticTraceConfig(n_requests=1_500, n_clients=12, name="claims"),
+        seed=trace_seed,
+    )
+    span = trace.duration
+    window = (window_start * span, (window_start + window_len) * span)
+    config = SimulationConfig.relative(
+        trace, 0.10, browser_sizing="minimum"
+    ).with_(
+        max_holder_retries=1,
+        proxy_faults=ProxyFaultModel(crash_times=tuple(f * span for f in crash_fracs)),
+        reannounce_rate=0.05,
+        federation=FederationConfig(
+            n_proxies=n_proxies,
+            digest_period=0.0 if oracle else span / 20,
+            link_faults=(
+                LinkFaultModel(partition_windows=(window,)) if partitioned else None
+            ),
+        ),
+        **index_knobs,
+    )
+    engine = FederatedSimulator(trace, ORG, config)
+    directory, sims = engine.directory, engine.sims
+    fetch, advance, could_serve = (
+        engine._interproxy_fetch, engine._advance, engine._could_serve
+    )
+    acted: dict[str, list] | None = None  # the running fetch's actions
+    fetches = probes = 0
+
+    def spy_advance(q, t):
+        if acted is not None:
+            acted["probed"].append(q)
+        advance(q, t)
+
+    def spy_could_serve(qsim, c, d, v):
+        acted["checked"].append(sims.index(qsim))
+        return could_serve(qsim, c, d, v)
+
+    def spy_fetch(home, pid, c, d, s, v, t):
+        nonlocal acted, fetches, probes
+        peers = [(pid + offset) % n_proxies for offset in range(1, n_proxies)]
+        schedule = engine.link_schedule
+        reachable = [
+            q for q in peers if schedule is None or schedule.connected(pid, q)
+        ]
+        claimed = {q for q in peers if directory.claims(sims, q, d, viewer=pid)}
+        acted = {"probed": [], "checked": []}
+        served, memory = fetch(home, pid, c, d, s, v, t)
+        probed, checked = acted["probed"], acted["checked"]
+        acted = None
+        fetches += 1
+        probes += len(probed)
+        want = [q for q in reachable if q in claimed]
+        if served:
+            assert probed and probed == want[: len(probed)]
+            assert not checked
+            return served, memory
+        assert probed == want
+        want = []
+        for q in reachable:
+            if not directory.claims(sims, q, d, viewer=pid):
+                want.append(q)
+                if could_serve(sims[q], c, d, v):
+                    break
+        assert checked == want
+        return served, memory
+
+    engine._interproxy_fetch = spy_fetch
+    engine._advance = spy_advance
+    engine._could_serve = spy_could_serve
+    result = engine.run()
+    assert fetches > 0 and probes > 0 and result.proxy_crashes > 0
+    if not oracle:
+        assert directory.exchanges > 1
+        if partitioned:
+            assert directory.antientropy_refreshes >= 1
+
+
 # -- the cross-proxy request path ---------------------------------------------
 
 
@@ -438,6 +550,39 @@ def test_missed_hit_counts_content_invisible_until_next_exchange():
     assert result.interproxy_hits == 0
     assert result.digest_missed_hits == 1
     assert result.digest_false_hits == 0
+
+
+@pytest.mark.parametrize("crash_seen_by", ["peer probe", "own local hit"])
+def test_peak_entries_follow_a_crash_outside_a_sampled_request(crash_seen_by):
+    """The federation-wide index peak is sampled after requests that
+    reach the fill tail.  Both proxies crash at t=2.5.  Proxy 0 (client
+    0) learns it on its next request and refills to one entry: 1 + 2
+    sampled, the peak.  Proxy 1 (client 1, two entries) learns it
+    outside a sampled request: in proxy 0's peer probe for doc 1
+    (oracle claims read proxy 1's pre-crash cache), or in client 1's
+    own local browser hit.  Proxy 0's next fill must then sample 2 + 0
+    entries, not a stale 2 + 2 for proxy 1."""
+    rows = [
+        (0.0, 1, 1, 100, 0),
+        (1.0, 1, 2, 100, 0),
+        (3.0, 0, 10, 100, 0),
+    ]
+    if crash_seen_by == "peer probe":
+        rows.append((4.0, 0, 1, 100, 0))
+    else:
+        rows += [(4.0, 1, 1, 100, 0), (5.0, 0, 11, 100, 0)]
+    config = SimulationConfig(
+        proxy_capacity=10_000,
+        browser_capacity=10_000,
+        proxy_faults=ProxyFaultModel(crash_times=(2.5,)),
+        reannounce_rate=1e-6,
+        federation=FederationConfig(n_proxies=2, digest_period=0.0),
+    )
+    result = simulate(make_trace(rows), ORG, config)
+    assert result.proxy_crashes == 2
+    assert result.index_peak_entries == 3
+    if crash_seen_by == "peer probe":
+        assert result.digest_false_hits == 1
 
 
 def test_blocks_partition_changes_ownership():
