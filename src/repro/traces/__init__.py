@@ -16,7 +16,7 @@ files are no longer distributable, so this package provides both
 from repro.traces.record import Request, Trace
 from repro.traces._parse_common import ParseReport
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
-from repro.traces.streaming import TraceStream, stream_trace
+from repro.traces.streaming import TraceStream
 from repro.traces.profiles import (
     TraceProfile,
     PAPER_TRACES,
@@ -45,7 +45,6 @@ __all__ = [
     "SyntheticTraceConfig",
     "generate_trace",
     "TraceStream",
-    "stream_trace",
     "TraceProfile",
     "PAPER_TRACES",
     "get_profile",

@@ -1,29 +1,30 @@
-"""Streaming synthetic workload generation.
+"""Synthetic workload generation: the one generative loop.
 
-:func:`repro.traces.synthetic.generate_trace` materialises five whole
-columns (40 bytes per request plus conversion transients) before the
-first request can be replayed.  For million-client, ten-million-request
-cells that peak at several hundred megabytes *per sweep cell* before
-the simulator even starts.
+:class:`TraceStream` runs the calibrated synthetic generator of
+:mod:`repro.traces.synthetic` and emits its requests as an iterator of
+bounded chunks.  :func:`repro.traces.synthetic.generate_trace` is
+``TraceStream(config, seed).materialise()``, so the two produce the
+**same requests, bit for bit**: for every ``(config, seed)`` pair the
+emitted ``(timestamp, client, doc, size, version)`` rows equal the
+materialised trace's columns — same values, same dtypes, same order —
+at any chunk size.  Their oracle is a whole-array reference generator
+in the test suite (``tests/trace_oracle.py``); a hypothesis property
+test pins the two equal.
 
-:class:`TraceStream` produces the **same requests, bit for bit**, as an
-iterator of bounded chunks.  For every ``(config, seed)`` pair the
-emitted ``(timestamp, client, doc, size, version)`` rows are exactly
-equal — same values, same dtypes, same order — to the columns of
-``generate_trace(config, seed)``; a hypothesis property test pins this.
-
-How bit-identity survives chunking
-----------------------------------
-``generate_trace`` consumes one sequential PCG64 stream in a fixed
-order: client draws, five uniform arrays, a lookback exponential array,
-an optional embedded-object Poisson array, the size lognormals, and the
+How chunking keeps the values
+-----------------------------
+The generator consumes one sequential PCG64 stream in a fixed order:
+client draws, five uniform arrays, a lookback exponential array, an
+optional embedded-object Poisson array, the size lognormals, and the
 timestamp gap exponentials.  NumPy fills every one of those arrays
 sequentially from the bit generator, so drawing an array in bounded
-chunks from a generator carrying the right state yields the identical
-values.  Uniform doubles consume exactly one PCG64 step each, so the
-five uniform cursors are positioned with ``PCG64.advance``; the
+chunks from a generator carrying the right state yields the values a
+whole-array draw would.  Uniform doubles consume exactly one PCG64 step
+each, so the uniform cursors are positioned with ``PCG64.advance``; the
 variable-consumption draws (ziggurat exponentials, Poisson) are
-positioned from bit-generator states captured on the way.
+positioned from bit-generator states captured on the way.  One
+``Generator`` per stream serves every cursor, re-positioned before each
+draw.
 
 Construction (calibration) runs the generative loop on those cursors
 exactly once, and keeps what it produced as tables: each request's
@@ -39,16 +40,15 @@ Memory model
 ------------
 A stream retains **8 bytes per request** (an ``int32`` client id and an
 ``int32`` pair index) plus O(unique pairs) key and size tables, against
-the materialised path's five 8-byte output columns plus the ``Trace``
-and its replay conversions.  The generative process's own state (its
-preferential-attachment pool and per-client histories, identical to
-``generate_trace``'s) lives only during calibration.  Each emitted
+a materialised trace's five 8-byte columns plus its replay conversions.
+The generative process's own state (its preferential-attachment pool
+and per-client histories) lives only during calibration.  Each emitted
 chunk is O(``chunk_rows``).
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -56,7 +56,7 @@ import numpy as np
 from repro.traces.record import Trace
 from repro.traces.synthetic import SyntheticTraceConfig, _draw_clients
 
-__all__ = ["TraceStream", "stream_trace"]
+__all__ = ["TraceStream"]
 
 #: rows per emitted chunk: the same trade-off as
 #: :attr:`repro.traces.record.Trace.ITER_CHUNK_ROWS`.
@@ -66,27 +66,14 @@ _VERSION_BITS = 32  # (doc, version) packed as doc << 32 | version
 _VERSION_MASK = (1 << _VERSION_BITS) - 1
 
 
-def _generator_at(state: dict, offset: int = 0) -> np.random.Generator:
-    """A fresh ``Generator`` positioned at *state* advanced by *offset*.
-
-    *offset* counts 64-bit PCG64 steps; uniform doubles consume exactly
-    one step each, which is what makes ``advance`` usable for the
-    uniform cursors.
-    """
-    bg = np.random.PCG64()
-    bg.state = state
-    if offset:
-        bg.advance(offset)
-    return np.random.Generator(bg)
-
-
 class TraceStream:
-    """Chunked, re-iterable view of a synthetic trace.
+    """Chunked, re-iterable synthetic trace.
 
-    Bit-identical to ``generate_trace(config, seed)`` without ever
-    materialising the five request columns.  Construction runs the one
-    calibration pass (the generative loop plus size/timestamp
-    normalisation); every subsequent :meth:`chunks` / :meth:`iter_rows`
+    The rows of ``generate_trace(config, seed)`` (which is
+    :meth:`materialise`), without ever materialising the five request
+    columns.  Construction runs the one calibration pass (the
+    generative loop plus size/timestamp normalisation); every
+    subsequent :meth:`chunks` / :meth:`iter_rows`
     call gathers its rows from the calibration tables and redraws only
     the timestamp gaps, so the stream can be consumed any number of
     times without re-running the generator.
@@ -184,153 +171,95 @@ class TraceStream:
         cfg = self.config
         n = cfg.n_requests
 
-        rng = np.random.default_rng(self.seed)
-        if rng.bit_generator.state["bit_generator"] != "PCG64":
+        # The one generator every draw of this stream comes from; the
+        # chunked draws re-position it (see _loop_chunks and _gap_chunks).
+        self._rng = rng = np.random.default_rng(self.seed)
+        if not isinstance(rng.bit_generator, np.random.PCG64):
             raise RuntimeError(
                 "TraceStream requires the PCG64 bit generator "
                 "(numpy default_rng)"
             )
 
-        # Clients: the verbatim _draw_clients call, so the master stream
-        # is consumed exactly as generate_trace consumes it.
         clients = _draw_clients(cfg, rng)
-        self._max_client = int(clients.max())
-        self._n_distinct_clients = int(np.unique(clients).size)
+        client_counts = np.bincount(clients)
+        self._max_client = len(client_counts) - 1
+        self._n_distinct_clients = int(np.count_nonzero(client_counts))
         # Values are < n_clients, so int32 halves the retained footprint;
         # emission upcasts per chunk.
         self._clients = clients.astype(np.int32)
-        state_stream = rng.bit_generator.state
-
-        # The embedded-object Poisson array is drawn only after the full
-        # lookback exponential array, and ziggurat consumption is
-        # value-dependent — so its start state must be *discovered* by
-        # streaming the exponentials once.
-        state_embed: dict | None = None
-        if cfg.embedded_per_page_mean > 0:
-            scout = _generator_at(state_stream, 5 * n)
-            for start in range(0, n, self.chunk_rows):
-                scout.exponential(
-                    cfg.self_lookback_mean, size=min(self.chunk_rows, n - start)
-                )
-            state_embed = scout.bit_generator.state
 
         # Generative loop, its only run: retain only the packed
         # (doc, version) per request, to recover final popularity counts
         # and the unique pair table that sizes are assigned over.
         packed = np.empty(n, dtype=np.int64)
-        state_after_variates: dict | None = None
-        for start, end, docs_c, versions_c, state_after_variates in self._loop_chunks(
-            self.chunk_rows, state_stream, state_embed
-        ):
-            np.left_shift(docs_c, _VERSION_BITS, out=docs_c)
-            np.bitwise_or(docs_c, versions_c, out=docs_c)
-            packed[start:end] = docs_c
+        for start, end, packed_c in self._loop_chunks(rng):
+            packed[start:end] = packed_c
+        self._assign_pair_sizes(rng, packed)
+        del packed
 
-        # Sizes: replicate _assign_sizes per unique pair.  The packed
-        # keys sort exactly like the original's docs*vmax+versions keys
-        # (both strictly increasing in (doc, version)), so np.unique
-        # yields the same pair order and the same inverse mapping.
-        sizes_rng = _generator_at(state_after_variates)
-        unique_keys, inverse = np.unique(packed, return_inverse=True)
-        doc_ids = packed >> _VERSION_BITS
-        n_docs = int(doc_ids.max()) + 1
-        self._max_doc = n_docs - 1
-        counts = np.bincount(doc_ids, minlength=n_docs).astype(np.float64)
-        del packed, doc_ids
-
-        noise = sizes_rng.lognormal(mean=0.0, sigma=cfg.size_sigma, size=n_docs)
-        base = noise * np.power(
-            np.maximum(counts, 1.0), -cfg.size_popularity_beta
-        )
-        pair_docs = unique_keys >> _VERSION_BITS
-        pair_vers = unique_keys & _VERSION_MASK
-        mut_noise = np.where(
-            pair_vers == 0,
-            1.0,
-            sizes_rng.lognormal(
-                mean=0.0, sigma=cfg.mutate_size_sigma, size=len(unique_keys)
-            ),
-        )
-        pair_sizes = base[pair_docs] * mut_noise
-        del noise, base, counts, pair_docs, pair_vers, mut_noise
-
-        # The rescale divisor is the float64 pairwise sum over the
-        # *per-request* expansion; expand transiently to reproduce the
-        # exact same summation tree, then drop the copy.
-        request_sizes = pair_sizes[inverse]
-        scale = (cfg.mean_doc_size * n) / max(request_sizes.sum(), 1e-12)
-        del request_sizes
-        self._pair_final = np.maximum(
-            np.rint(pair_sizes * scale), cfg.min_doc_size
-        ).astype(np.int64)
-        self._pair_idx = inverse.astype(
-            np.int32 if len(unique_keys) <= np.iinfo(np.int32).max else np.int64
-        )
-        # Emission gathers each request's doc and version from here.
-        self._pair_keys = unique_keys
-        pair_counts = np.bincount(self._pair_idx, minlength=len(unique_keys))
-        self._total_bytes = int((self._pair_final * pair_counts).sum())
-        del pair_sizes, inverse, pair_counts
-
-        # Timestamps: stream the gap exponentials once to learn the
-        # normalisation constants (cumsum is a sequential scan, so a
-        # carried accumulator reproduces it exactly).
-        self._state_gaps = sizes_rng.bit_generator.state
-        gaps_rng = _generator_at(self._state_gaps)
-        carry = None
-        first_gap = None
-        for start in range(0, n, self.chunk_rows):
-            k = min(self.chunk_rows, n - start)
-            chunk = gaps_rng.exponential(1.0, size=k)
-            if carry is None:
-                first_gap = chunk[0]
-                t = np.cumsum(chunk)
-            else:
-                t = np.cumsum(np.concatenate(([carry], chunk)))[1:]
-            carry = t[-1]
-        t_last = carry - first_gap  # t[-1] after the t -= t[0] shift
+        # Timestamps: the gap draws begin here.  One pass learns the
+        # normalising span; a diurnal trace needs a second pass, through
+        # the inversion, to learn its rescale.
+        self._state_gaps = rng.bit_generator.state
+        for t in self._gap_chunks(self.chunk_rows):
+            pass
+        t_last = t[-1]
         self._span = t_last if t_last > 0 else 1.0
-
         self._diurnal_scale: np.float64 | None = None
+        last = (t_last / self._span) * cfg.duration
         if cfg.diurnal_amplitude > 0.0:
-            x_carry = None
-            for _, _, x_chunk, x_carry in self._diurnal_chunks(self.chunk_rows):
+            for x in self._timestamp_chunks(self.chunk_rows):
                 pass
-            if x_carry > 0:
-                self._diurnal_scale = cfg.duration / x_carry
-            last = x_carry * self._diurnal_scale if self._diurnal_scale is not None else x_carry
-            self._last_timestamp = float(last)
-        else:
-            self._last_timestamp = float((t_last / self._span) * cfg.duration)
-
-    # -- the generative loop, chunked (calibration only) --------------
+            last = x[-1]
+            if last > 0:
+                self._diurnal_scale = cfg.duration / last
+                last = last * self._diurnal_scale
+        self._last_timestamp = float(last)
 
     def _loop_chunks(
-        self, chunk_rows: int, state_stream: dict, state_embed: dict | None
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, dict]]:
-        """Run the reference-stream loop, yielding per-chunk docs and
-        versions.
+        self, rng: np.random.Generator
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Run the generative loop, yielding ``(start, end, packed)``
+        per chunk, ``packed`` being each request's ``doc << 32 |
+        version``.
 
-        The loop body is a verbatim transliteration of
-        :func:`repro.traces.synthetic._reference_stream`; only the
-        variate arrays arrive in chunks, from cursors positioned on the
-        same master stream (*state_stream*: where the uniform arrays
-        begin; *state_embed*: where the embedded-object Poisson array
-        begins, ``None`` when the config has none).  The final tuple
-        element is the bit-generator state after the last variate array
-        completed (where ``generate_trace`` would begin the size draws).
+        The variates are read from *rng*'s stream, positioned just after
+        the client draws, in this order: five uniform arrays of
+        ``n_requests`` (new/self/global decision, private flag, pool
+        position, recency/uniform decision, mutation decision), the
+        lookback exponential array and, when the config has embedded
+        objects, the Poisson array of their counts.  Each chunk draws
+        its slice of every array from the one generator, re-positioned
+        per array: uniform doubles consume exactly one PCG64 step each,
+        so a uniform slice is reached with ``advance``; the ziggurat
+        exponentials and the Poisson draws consume a value-dependent
+        number of steps, so their cursors are saved states.  Their slices
+        are drawn last in each chunk, so once exhausted *rng* sits just
+        after the last variate array, where the size draws begin.
+
+        The process is inherently sequential (preferential attachment
+        feeds popularity back into the pool), so the loop cannot be
+        vectorised; pre-drawing every chunk's variates keeps it fast.
         Calibration runs it exactly once per stream.
         """
         cfg = self.config
         n = cfg.n_requests
-        cur_kind = _generator_at(state_stream, 0)
-        cur_private = _generator_at(state_stream, n)
-        cur_pos = _generator_at(state_stream, 2 * n)
-        cur_recent = _generator_at(state_stream, 3 * n)
-        cur_mutate = _generator_at(state_stream, 4 * n)
-        cur_lookback = _generator_at(state_stream, 5 * n)
-        track_embedded = cfg.embedded_per_page_mean > 0
-        cur_embed = _generator_at(state_embed) if track_embedded else None
+        chunk_rows = self.chunk_rows
+        bg = rng.bit_generator
+        lookback_mean = cfg.self_lookback_mean
+        embedded_mean = cfg.embedded_per_page_mean
+        track_embedded = embedded_mean > 0
+
+        state_uniform = bg.state
+        state_lookback = None  # the first chunk reaches it (below)
+        state_embed = None
+        if track_embedded:
+            # The Poisson array begins after the whole lookback array,
+            # so its start state is found by streaming that array once.
+            bg.advance(5 * n)
+            for start in range(0, n, chunk_rows):
+                rng.exponential(lookback_mean, size=min(chunk_rows, n - start))
+            state_embed = bg.state
 
         p_new = cfg.p_new
         p_self_edge = cfg.p_new + cfg.p_self
@@ -340,138 +269,218 @@ class TraceStream:
         private_frac = cfg.private_doc_frac
         p_mutate = cfg.p_mutate
 
+        # shared_pool holds one entry per reference to a shared document,
+        # so uniform sampling from it is preferential attachment;
+        # shared_docs holds each shared document once, for uniform
+        # mid-tail revisits.
         shared_pool: list[int] = []
         shared_docs: list[int] = []
+        pool_append = shared_pool.append
+        shared_docs_append = shared_docs.append
         history: list[list[int]] = [[] for _ in range(cfg.n_clients)]
-        version_of: list[int] = []
-        is_private: list[bool] = []
-        embedded_of: list[list[int]] = []
-        queue: list[list[int]] = [[] for _ in range(cfg.n_clients)]
+        # doc | version << 31 (doc ids stay below 2**31), indexed by doc
+        # id: a mutation adds 1 << 31, and each request appends its
+        # document's entry.  An unmutated document's entry is its id, so
+        # it costs no int object.
+        key_of: list[int] = []
+        is_private: list[bool] = []     # indexed by doc id
+        key_of_append = key_of.append
+        is_private_append = is_private.append
+        version_step = 1 << 31
+        n_docs = 0
+        embedded_of: list[list[int]] = []   # page doc id -> embedded doc ids
+        queue: list[list[int]] = (
+            [[] for _ in range(cfg.n_clients)] if track_embedded else []
+        )
 
         for start in range(0, n, chunk_rows):
             k = min(chunk_rows, n - start)
-            client_list = self._clients[start : start + k].tolist()
-            u_kind_l = cur_kind.random(k).tolist()
-            u_private_l = cur_private.random(k).tolist()
-            u_pos_l = cur_pos.random(k).tolist()
-            u_recent_l = cur_recent.random(k).tolist()
-            u_mutate_l = cur_mutate.random(k).tolist()
-            lookback_l = (
-                cur_lookback.exponential(cfg.self_lookback_mean, size=k)
-                .astype(np.int64)
-                .tolist()
-            )
-            n_embedded_l = (
-                cur_embed.poisson(cfg.embedded_per_page_mean, size=k).tolist()
-                if track_embedded
-                else None
-            )
+            # the five uniform arrays lie n steps apart on the stream
+            bg.state = state_uniform
+            bg.advance(start)
+            uniforms = []
+            for _ in range(5):
+                uniforms.append(rng.random(k).tolist())
+                bg.advance(n - k)
+            # The first chunk's walk ends at 5 n, where the lookback
+            # array begins.
+            if state_lookback is not None:
+                bg.state = state_lookback
+            lookback = rng.exponential(lookback_mean, size=k).astype(np.int64)
+            state_lookback = bg.state
+            if track_embedded:
+                bg.state = state_embed
+                n_embedded = rng.poisson(embedded_mean, size=k).tolist()
+                state_embed = bg.state
+            else:
+                n_embedded = repeat(0, k)
 
-            docs = np.empty(k, dtype=np.int64)
-            versions = np.empty(k, dtype=np.int64)
-
-            for i in range(k):
-                c = client_list[i]
+            keys: list[int] = []
+            keys_append = keys.append
+            for c, kind, u_private, u_pos, u_recent, u_mutate, back, kids_n in zip(
+                self._clients[start : start + k].tolist(),
+                *uniforms,
+                lookback.tolist(),
+                n_embedded,
+            ):
                 hist = history[c]
                 doc = -1
-                from_queue = False
                 if track_embedded and queue[c]:
+                    # Embedded objects of the page just visited come first.
                     doc = queue[c].pop()
-                    from_queue = True
-                else:
-                    kind = u_kind_l[i]
-                    if kind >= p_new:
-                        if kind < p_self_edge:
-                            if hist:
-                                idx = len(hist) - 1 - min(
-                                    lookback_l[i], len(hist) - 1
-                                )
-                                doc = hist[idx]
+                elif kind >= p_new:
+                    if kind < p_self_edge:
+                        if hist:
+                            doc = hist[-1 - back] if back < len(hist) else hist[0]
+                    elif shared_pool:
+                        pool_len = len(shared_pool)
+                        if u_recent < recency_bias:
+                            window = int(pool_len * window_frac) or 1
+                            doc = shared_pool[pool_len - 1 - int(u_pos * window)]
+                        elif u_recent < uniform_edge:
+                            doc = shared_docs[int(u_pos * len(shared_docs))]
                         else:
-                            if shared_pool:
-                                pool_len = len(shared_pool)
-                                r = u_recent_l[i]
-                                if r < recency_bias:
-                                    window = max(1, int(pool_len * window_frac))
-                                    doc = shared_pool[
-                                        pool_len - 1 - int(u_pos_l[i] * window)
-                                    ]
-                                elif r < uniform_edge:
-                                    doc = shared_docs[
-                                        int(u_pos_l[i] * len(shared_docs))
-                                    ]
-                                else:
-                                    doc = shared_pool[int(u_pos_l[i] * pool_len)]
+                            doc = shared_pool[int(u_pos * pool_len)]
                 if doc < 0:
-                    doc = len(version_of)
-                    version_of.append(0)
-                    private = u_private_l[i] < private_frac
-                    is_private.append(private)
+                    # New document, either by choice or because the pools
+                    # are still empty early in the trace.
+                    doc = n_docs
+                    n_docs += 1
+                    key_of_append(doc)
+                    private = u_private < private_frac
+                    is_private_append(private)
                     if not private:
-                        shared_docs.append(doc)
+                        shared_docs_append(doc)
                     if track_embedded:
-                        embedded_of.append([])
-                        kids = []
-                        for _ in range(n_embedded_l[i]):
-                            kid = len(version_of)
-                            version_of.append(0)
-                            is_private.append(private)
-                            embedded_of.append([])
-                            kids.append(kid)
-                        embedded_of[doc] = kids
-                elif u_mutate_l[i] < p_mutate:
-                    version_of[doc] += 1
+                        kids = list(range(doc + 1, doc + 1 + kids_n))
+                        n_docs += kids_n
+                        embedded_of.append(kids)
+                        embedded_of.extend([] for _ in kids)
+                        key_of.extend(kids)
+                        is_private.extend(private for _ in kids)
+                elif u_mutate < p_mutate:
+                    # The document changed at the origin since it was
+                    # last seen.
+                    key_of[doc] += version_step
                 if not is_private[doc]:
-                    shared_pool.append(doc)
-                if track_embedded and not from_queue and embedded_of[doc]:
+                    # Every reference to a shared doc reinforces its
+                    # popularity.
+                    pool_append(doc)
+                if track_embedded and embedded_of[doc]:
+                    # Visiting a page queues its embedded objects (pop()
+                    # takes from the end, so reverse to keep their order).
+                    # An embedded object has none of its own, so a queued
+                    # request queues nothing.
                     queue[c].extend(reversed(embedded_of[doc]))
-                docs[i] = doc
-                versions[i] = version_of[doc]
+                keys_append(key_of[doc])
                 hist.append(doc)
 
-            after = (
-                cur_embed.bit_generator.state
-                if track_embedded
-                else cur_lookback.bit_generator.state
-            )
-            yield start, start + k, docs, versions, after
+            # repack as doc << 32 | version, which sorts by (doc, version)
+            keys = np.array(keys, dtype=np.int64)
+            packed = np.bitwise_and(keys, version_step - 1)
+            np.left_shift(packed, _VERSION_BITS, out=packed)
+            np.bitwise_or(packed, keys >> 31, out=packed)
+            yield start, start + k, packed
+
+    def _assign_pair_sizes(self, rng: np.random.Generator, packed: np.ndarray) -> None:
+        """Assign a body size to every unique ``(doc, version)`` pair.
+
+        Sizes are constant per (doc, version).  A document's base size
+        is lognormal noise damped by its final reference count
+        (``count**-beta``), producing the size/popularity
+        anti-correlation that separates byte hit ratios from request hit
+        ratios; a mutated version multiplies it by lognormal noise.  The
+        whole trace is then rescaled so the mean request size matches
+        ``config.mean_doc_size``.  Draws from *rng*, which must sit
+        where the size draws begin.
+        """
+        cfg = self.config
+        unique_keys, inverse = np.unique(packed, return_inverse=True)
+        pair_docs = unique_keys >> _VERSION_BITS
+        n_docs = int(pair_docs[-1]) + 1
+        self._max_doc = n_docs - 1
+        counts = np.bincount(packed >> _VERSION_BITS, minlength=n_docs).astype(
+            np.float64
+        )
+
+        noise = rng.lognormal(mean=0.0, sigma=cfg.size_sigma, size=n_docs)
+        base = noise * np.power(np.maximum(counts, 1.0), -cfg.size_popularity_beta)
+        mut_noise = np.where(
+            (unique_keys & _VERSION_MASK) == 0,
+            1.0,
+            rng.lognormal(mean=0.0, sigma=cfg.mutate_size_sigma, size=len(unique_keys)),
+        )
+        pair_sizes = base[pair_docs] * mut_noise
+        del noise, base, counts, pair_docs, mut_noise
+
+        # The rescale divisor is the float64 pairwise sum over the
+        # *per-request* expansion; expand transiently to keep that exact
+        # summation tree, then drop the copy.
+        scale = (cfg.mean_doc_size * len(packed)) / max(
+            pair_sizes[inverse].sum(), 1e-12
+        )
+        self._pair_final = np.maximum(
+            np.rint(pair_sizes * scale), cfg.min_doc_size
+        ).astype(np.int64)
+        self._pair_idx = inverse.astype(
+            np.int32 if len(unique_keys) < 2**31 else np.int64
+        )
+        # Emission gathers each request's doc and version from here.
+        self._pair_keys = unique_keys
+        pair_counts = np.bincount(inverse, minlength=len(unique_keys))
+        self._total_bytes = int((self._pair_final * pair_counts).sum())
 
     # -- timestamps, chunked ------------------------------------------
 
-    def _uniform_t_chunks(
-        self, chunk_rows: int
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The homogeneous arrival times, chunked: the exact elementwise
-        pipeline of ``_draw_timestamps`` up to ``uniform_t``."""
-        cfg = self.config
-        n = cfg.n_requests
-        gaps_rng = _generator_at(self._state_gaps)
+    def _gap_chunks(self, chunk_rows: int) -> Iterator[np.ndarray]:
+        """Poisson arrival times, chunked and not yet normalised: the
+        cumulative sum of unit exponential gaps drawn from the saved gap
+        state, shifted so the first arrival is at 0.  ``cumsum`` is a
+        sequential scan, so a carried accumulator gives the same values
+        at any chunk size."""
+        n = self.config.n_requests
+        rng = self._rng
+        bg = rng.bit_generator
+        state = self._state_gaps
         carry = None
         first_gap = None
         for start in range(0, n, chunk_rows):
-            k = min(chunk_rows, n - start)
-            chunk = gaps_rng.exponential(1.0, size=k)
+            bg.state = state
+            chunk = rng.exponential(1.0, size=min(chunk_rows, n - start))
+            state = bg.state
             if carry is None:
                 first_gap = chunk[0]
                 t = np.cumsum(chunk)
             else:
                 t = np.cumsum(np.concatenate(([carry], chunk)))[1:]
             carry = t[-1]
-            t = t - first_gap
-            yield start, start + k, (t / self._span) * cfg.duration
+            yield t - first_gap
 
-    def _diurnal_chunks(
-        self, chunk_rows: int
-    ) -> Iterator[tuple[int, int, np.ndarray, np.float64]]:
-        """Diurnal inversion, chunked: Newton is elementwise and the
-        monotonic repair is a prefix max, carried across chunks.  Yields
-        the *unscaled* x chunks plus the running maximum."""
+    def _timestamp_chunks(self, chunk_rows: int) -> Iterator[np.ndarray]:
+        """The arrival times, chunked: Poisson arrivals normalised to
+        span exactly ``config.duration``.
+
+        With ``diurnal_amplitude > 0`` the arrival process is an
+        inhomogeneous Poisson with the sinusoidal 24-hour rate ``1 + a
+        sin(2 pi t / T_d)``: the homogeneous arrivals are
+        inverse-transformed through the cumulative rate ``Lambda(t) = t
+        + (a T_d / 2 pi)(1 - cos(2 pi t / T_d))`` by a few Newton steps
+        (better than a second), made monotonic by a prefix max carried
+        across chunks, and rescaled to end at ``config.duration`` once
+        calibration has learnt the scale (unscaled before).
+        """
         cfg = self.config
+        span, duration = self._span, cfg.duration
         a = cfg.diurnal_amplitude
         day = 86_400.0
         k_const = a * day / (2 * np.pi)
+        scale = self._diurnal_scale
         x_carry = -np.inf
-        for start, end, target in self._uniform_t_chunks(chunk_rows):
+        for t in self._gap_chunks(chunk_rows):
+            target = (t / span) * duration
+            if a == 0.0:
+                yield target
+                continue
             x = target.copy()
             for _ in range(8):
                 lam = x + k_const * (1 - np.cos(2 * np.pi * x / day))
@@ -481,21 +490,17 @@ class TraceStream:
             x[0] = max(x[0], x_carry)
             x = np.maximum.accumulate(x)
             x_carry = x[-1]
-            yield start, end, x, x_carry
-
-    def _timestamp_chunks(
-        self, chunk_rows: int
-    ) -> Iterator[np.ndarray]:
-        cfg = self.config
-        if cfg.diurnal_amplitude == 0.0:
-            for _, _, ts in self._uniform_t_chunks(chunk_rows):
-                yield ts
-        else:
-            scale = self._diurnal_scale
-            for _, _, x, _ in self._diurnal_chunks(chunk_rows):
-                yield x * scale if scale is not None else x
+            yield x * scale if scale is not None else x
 
     # -- emission (pass B) --------------------------------------------
+
+    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(docs, sizes, versions)`` of the requests whose pair indices
+        are *idx*."""
+        keys = self._pair_keys[idx]
+        docs = keys >> _VERSION_BITS
+        versions = np.bitwise_and(keys, _VERSION_MASK, out=keys)
+        return docs, self._pair_final[idx], versions
 
     def chunks(
         self, chunk_rows: int | None = None
@@ -511,17 +516,11 @@ class TraceStream:
         step = int(chunk_rows) if chunk_rows else self.chunk_rows
         if step <= 0:
             raise ValueError(f"chunk_rows must be > 0, got {step}")
-        pair_idx, pair_keys, pair_final = (
-            self._pair_idx, self._pair_keys, self._pair_final
-        )
         ts_iter = self._timestamp_chunks(step)
         for start in range(0, self.config.n_requests, step):
-            idx = pair_idx[start : start + step]
-            keys = pair_keys[idx]
-            docs = keys >> _VERSION_BITS
-            versions = np.bitwise_and(keys, _VERSION_MASK, out=keys)
+            docs, sizes, versions = self._gather(self._pair_idx[start : start + step])
             clients = self._clients[start : start + step].astype(np.int64)
-            yield next(ts_iter), clients, docs, pair_final[idx], versions
+            yield next(ts_iter), clients, docs, sizes, versions
 
     def iter_rows(
         self, chunk_rows: int | None = None
@@ -534,15 +533,18 @@ class TraceStream:
         )
 
     def materialise(self) -> Trace:
-        """Concatenate the stream into a :class:`Trace` (for tests and
-        small workloads; defeats the purpose at scale)."""
-        cols = list(zip(*self.chunks()))
+        """The whole stream as a :class:`Trace`: one gather per column
+        and one timestamp pass (what
+        :func:`repro.traces.synthetic.generate_trace` returns; defeats
+        the purpose at scale)."""
+        docs, sizes, versions = self._gather(self._pair_idx)
+        (timestamps,) = self._timestamp_chunks(self.config.n_requests)
         return Trace(
-            timestamps=np.concatenate(cols[0]),
-            clients=np.concatenate(cols[1]),
-            docs=np.concatenate(cols[2]),
-            sizes=np.concatenate(cols[3]),
-            versions=np.concatenate(cols[4]),
+            timestamps=timestamps,
+            clients=self._clients.astype(np.int64),
+            docs=docs,
+            sizes=sizes,
+            versions=versions,
             name=self.name,
         )
 
@@ -552,12 +554,3 @@ class TraceStream:
             f"clients={self.n_clients}, seed={self.seed})"
         )
 
-
-def stream_trace(
-    config: SyntheticTraceConfig,
-    seed: int | None = 0,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> TraceStream:
-    """Build a :class:`TraceStream` for *config* — the streaming
-    counterpart of :func:`repro.traces.synthetic.generate_trace`."""
-    return TraceStream(config, seed=seed, chunk_rows=chunk_rows)

@@ -28,7 +28,9 @@ with the same *knobs that matter* for browser/proxy cache simulation:
 Generation is two-pass: pass one builds the (client, doc, version)
 reference stream with a single O(N) loop over pre-drawn random arrays;
 pass two assigns sizes per unique (doc, version) from final popularity
-counts, fully vectorised.
+counts, fully vectorised.  Both passes live in
+:class:`repro.traces.streaming.TraceStream`; :func:`generate_trace`
+materialises one.
 """
 
 from __future__ import annotations
@@ -152,33 +154,23 @@ class SyntheticTraceConfig:
         return replace(self, n_requests=max(1, int(self.n_requests * requests_frac)))
 
 
-def generate_trace(
-    config: SyntheticTraceConfig,
-    seed: int | np.random.Generator | None = 0,
-) -> Trace:
+def generate_trace(config: SyntheticTraceConfig, seed: int | None = 0) -> Trace:
     """Generate a synthetic :class:`Trace` from *config*.
 
-    Deterministic for a given ``(config, seed)`` pair.
+    Deterministic for a given ``(config, seed)`` pair: the materialised
+    :class:`~repro.traces.streaming.TraceStream`, whose calibration runs
+    the generative loop.  *seed* is an integer or ``None`` (fresh OS
+    entropy); a ``Generator`` raises ``TypeError``, because the stream
+    re-positions a bit generator it owns.
     """
-    rng = make_rng(seed)
+    # streaming imports this module for the config and the client draw
+    from repro.traces.streaming import TraceStream
 
-    clients = _draw_clients(config, rng)
-    docs, versions = _reference_stream(config, rng, clients)
-    sizes = _assign_sizes(config, rng, docs, versions)
-    timestamps = _draw_timestamps(config, rng)
-
-    return Trace(
-        timestamps=timestamps,
-        clients=clients,
-        docs=docs,
-        sizes=sizes,
-        versions=versions,
-        name=config.name,
-    )
+    return TraceStream(config, seed=seed).materialise()
 
 
 # ---------------------------------------------------------------------------
-# pass 0: clients and timestamps
+# clients
 # ---------------------------------------------------------------------------
 
 
@@ -215,214 +207,6 @@ def _draw_clients(config: SyntheticTraceConfig, rng: np.random.Generator) -> np.
                 counts[client] += 1
             missing = np.flatnonzero(counts == 0)
     return clients.astype(np.int64)
-
-
-def _draw_timestamps(config: SyntheticTraceConfig, rng: np.random.Generator) -> np.ndarray:
-    """Poisson arrivals normalised to span exactly ``config.duration``.
-
-    With ``diurnal_amplitude > 0`` the arrival process is an
-    inhomogeneous Poisson with a sinusoidal 24-hour intensity,
-    generated by inverse-transforming the homogeneous arrivals through
-    the cumulative rate function.
-    """
-    gaps = rng.exponential(1.0, size=config.n_requests)
-    t = np.cumsum(gaps)
-    t -= t[0]
-    span = t[-1] if t[-1] > 0 else 1.0
-    uniform_t = (t / span) * config.duration
-    a = config.diurnal_amplitude
-    if a == 0.0:
-        return uniform_t
-    # Invert Lambda(t) = t - (a T_d / 2 pi) cos-terms numerically: the
-    # cumulative intensity for rate(t) = 1 + a sin(2 pi t / T_d) is
-    # Lambda(t) = t + (a T_d / 2 pi)(1 - cos(2 pi t / T_d)); a few
-    # Newton steps invert it to better than a second.
-    day = 86_400.0
-    k = a * day / (2 * np.pi)
-    target = uniform_t
-    x = target.copy()
-    for _ in range(8):
-        lam = x + k * (1 - np.cos(2 * np.pi * x / day))
-        rate = 1 + a * np.sin(2 * np.pi * x / day)
-        x = x - (lam - target) / np.maximum(rate, 1e-9)
-    x = np.maximum.accumulate(np.clip(x, 0.0, None))
-    if x[-1] > 0:
-        x *= config.duration / x[-1]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# pass 1: the reference stream
-# ---------------------------------------------------------------------------
-
-
-def _reference_stream(
-    config: SyntheticTraceConfig,
-    rng: np.random.Generator,
-    clients: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build document ids and versions for every request.
-
-    A single Python loop over pre-drawn uniform variates; the state is
-    plain lists/dicts.  The process is inherently sequential
-    (preferential attachment feeds popularity back into the pool), so
-    this loop cannot be vectorised; pre-drawing every random variate
-    keeps it fast.
-    """
-    n = config.n_requests
-    u_kind = rng.random(n)          # new / self / global decision
-    u_private = rng.random(n)       # private flag for new docs
-    u_pos = rng.random(n)           # position within the chosen pool
-    u_recent = rng.random(n)        # recency-window / uniform decision
-    u_mutate = rng.random(n)        # mutation decision
-    lookback = rng.exponential(config.self_lookback_mean, size=n).astype(np.int64)
-    if config.embedded_per_page_mean > 0:
-        n_embedded = rng.poisson(config.embedded_per_page_mean, size=n)
-    else:
-        n_embedded = None
-
-    p_new = config.p_new
-    p_self_edge = config.p_new + config.p_self
-    recency_bias = config.recency_bias
-    uniform_edge = config.recency_bias + config.uniform_doc_frac
-    window_frac = config.recency_window_frac
-    private_frac = config.private_doc_frac
-    p_mutate = config.p_mutate
-
-    # shared_pool holds one entry per reference to a shared document, so
-    # uniform sampling from it is preferential attachment; shared_docs
-    # holds each shared document once, for uniform mid-tail revisits.
-    shared_pool: list[int] = []
-    shared_docs: list[int] = []
-    history: list[list[int]] = [[] for _ in range(config.n_clients)]
-    version_of: list[int] = []      # indexed by doc id
-    is_private: list[bool] = []     # indexed by doc id
-    embedded_of: list[list[int]] = []   # page doc id -> embedded doc ids
-    queue: list[list[int]] = [[] for _ in range(config.n_clients)]
-
-    docs = np.empty(n, dtype=np.int64)
-    versions = np.empty(n, dtype=np.int64)
-
-    client_list = clients.tolist()
-    u_kind_l = u_kind.tolist()
-    u_private_l = u_private.tolist()
-    u_pos_l = u_pos.tolist()
-    u_recent_l = u_recent.tolist()
-    u_mutate_l = u_mutate.tolist()
-    lookback_l = lookback.tolist()
-
-    track_embedded = n_embedded is not None
-    n_embedded_l = n_embedded.tolist() if track_embedded else None
-
-    for i in range(n):
-        c = client_list[i]
-        hist = history[c]
-        doc = -1
-        from_queue = False
-        if track_embedded and queue[c]:
-            # Embedded objects of the page just visited come first.
-            doc = queue[c].pop()
-            from_queue = True
-        else:
-            kind = u_kind_l[i]
-            if kind >= p_new:
-                if kind < p_self_edge:
-                    if hist:
-                        idx = len(hist) - 1 - min(lookback_l[i], len(hist) - 1)
-                        doc = hist[idx]
-                else:
-                    if shared_pool:
-                        pool_len = len(shared_pool)
-                        r = u_recent_l[i]
-                        if r < recency_bias:
-                            window = max(1, int(pool_len * window_frac))
-                            doc = shared_pool[pool_len - 1 - int(u_pos_l[i] * window)]
-                        elif r < uniform_edge:
-                            doc = shared_docs[int(u_pos_l[i] * len(shared_docs))]
-                        else:
-                            doc = shared_pool[int(u_pos_l[i] * pool_len)]
-        if doc < 0:
-            # New document, either by choice or because the pools are
-            # still empty early in the trace.
-            doc = len(version_of)
-            version_of.append(0)
-            private = u_private_l[i] < private_frac
-            is_private.append(private)
-            if not private:
-                shared_docs.append(doc)
-            if track_embedded:
-                embedded_of.append([])
-                kids = []
-                for _ in range(n_embedded_l[i]):
-                    kid = len(version_of)
-                    version_of.append(0)
-                    is_private.append(private)
-                    embedded_of.append([])
-                    kids.append(kid)
-                embedded_of[doc] = kids
-        elif u_mutate_l[i] < p_mutate:
-            # The document changed at the origin since it was last seen.
-            version_of[doc] += 1
-        if not is_private[doc]:
-            # Every reference to a shared doc reinforces its popularity.
-            shared_pool.append(doc)
-        if track_embedded and not from_queue and embedded_of[doc]:
-            # Visiting a page queues its embedded objects (pop() takes
-            # from the end, so reverse to preserve document order).
-            queue[c].extend(reversed(embedded_of[doc]))
-        docs[i] = doc
-        versions[i] = version_of[doc]
-        hist.append(doc)
-
-    return docs, versions
-
-
-# ---------------------------------------------------------------------------
-# pass 2: sizes
-# ---------------------------------------------------------------------------
-
-
-def _assign_sizes(
-    config: SyntheticTraceConfig,
-    rng: np.random.Generator,
-    docs: np.ndarray,
-    versions: np.ndarray,
-) -> np.ndarray:
-    """Assign a body size to every request.
-
-    Sizes are constant per (doc, version).  A document's base size is
-    lognormal noise damped by its final reference count
-    (``count**-beta``), producing the size/popularity anti-correlation
-    that separates byte hit ratios from request hit ratios.  The whole
-    trace is then rescaled so the mean request size matches
-    ``config.mean_doc_size``.
-    """
-    n_docs = int(docs.max()) + 1 if len(docs) else 0
-    counts = np.bincount(docs, minlength=n_docs).astype(np.float64)
-
-    noise = rng.lognormal(mean=0.0, sigma=config.size_sigma, size=n_docs)
-    base = noise * np.power(np.maximum(counts, 1.0), -config.size_popularity_beta)
-
-    # Per-version perturbation: version v of doc d has size
-    # base[d] * mut_noise(d, v).  Enumerate unique (doc, version) pairs.
-    vmax = int(versions.max()) + 1 if len(versions) else 1
-    pair_key = docs * vmax + versions
-    unique_keys, inverse = np.unique(pair_key, return_inverse=True)
-    pair_docs = unique_keys // vmax
-    pair_vers = unique_keys % vmax
-    mut_noise = np.where(
-        pair_vers == 0,
-        1.0,
-        rng.lognormal(mean=0.0, sigma=config.mutate_size_sigma, size=len(unique_keys)),
-    )
-    pair_sizes = base[pair_docs] * mut_noise
-
-    request_sizes = pair_sizes[inverse]
-    scale = (config.mean_doc_size * len(docs)) / max(request_sizes.sum(), 1e-12)
-    request_sizes = np.maximum(
-        np.rint(request_sizes * scale), config.min_doc_size
-    ).astype(np.int64)
-    return request_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +250,9 @@ def inject_flash_crowd(
 ) -> Trace:
     """Return a copy of *trace* with a flash-crowd spike injected.
 
-    A deterministic post-transform on a materialised trace (the
-    streaming generator stays bit-identical to :func:`generate_trace`):
+    A deterministic post-transform on a materialised trace (a
+    :class:`~repro.traces.streaming.TraceStream` of the same config and
+    seed has no flash crowd):
     randomly chosen in-window requests — seeded from ``(seed, spec)``
     via :func:`~repro.util.rng.derive_seed` — are redirected to the
     target document, which keeps clients, timestamps, and the request

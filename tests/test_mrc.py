@@ -42,7 +42,7 @@ from repro.traces.sampling import (
     build_sample_report,
     sample_trace,
 )
-from repro.traces.streaming import stream_trace
+from repro.traces.streaming import TraceStream
 from repro.traces.synthetic import SyntheticTraceConfig
 
 settings.register_profile("default", max_examples=25, deadline=None)
@@ -229,11 +229,11 @@ def test_sample_rate_one_bit_identical_to_unsampled(trace, seed):
 @settings(max_examples=10, deadline=None)
 def test_sampled_pass_chunk_size_invariant_from_stream(chunks, rate, seed):
     cfg = SyntheticTraceConfig(n_requests=700, n_clients=5, name="chunk-inv")
-    grid_source = stream_trace(cfg, seed=1, chunk_rows=256)
+    grid_source = TraceStream(cfg, seed=1, chunk_rows=256)
     grid = capacity_grid(grid_source, (0.01, 0.1))
     results = [
         compute_mrc(
-            stream_trace(cfg, seed=1, chunk_rows=chunk),
+            TraceStream(cfg, seed=1, chunk_rows=chunk),
             grid,
             sample_rate=rate,
             sample_seed=seed,

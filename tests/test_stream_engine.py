@@ -119,18 +119,36 @@ def fault_knobs(draw):
     return kw
 
 
+@st.composite
+def trace_shapes(draw):
+    """A spread trace (up to 300 requests over up to 12 clients) or a
+    clustered one (300-600 requests over 4-8 clients, almost all
+    re-references to shared documents).  Spread traces seldom reach the
+    code between a probe and its fill; clustered ones serve a remote hit
+    in most examples, and with the fault knobs fail over or reject a
+    corrupt transfer in many."""
+    if draw(st.booleans()):
+        return SyntheticTraceConfig(
+            n_requests=draw(st.integers(300, 600)),
+            n_clients=draw(st.integers(4, 8)),
+            p_new=0.15,
+            p_self=0.05,
+            private_doc_frac=0.0,
+        )
+    return SyntheticTraceConfig(
+        n_requests=draw(st.integers(1, 300)), n_clients=draw(st.integers(1, 12))
+    )
+
+
 @given(
     seed=st.integers(0, 2**31),
-    n=st.integers(1, 300),
-    clients=st.integers(1, 12),
+    shape=trace_shapes(),
     proxy_frac=st.sampled_from([0.02, 0.1, 0.5]),
     knobs=fault_knobs(),
 )
 @settings(max_examples=example_budget(30), deadline=None)
-def test_identical_property(seed, n, clients, proxy_frac, knobs):
-    t = generate_trace(
-        SyntheticTraceConfig(n_requests=n, n_clients=clients), seed=seed
-    )
+def test_identical_property(seed, shape, proxy_frac, knobs):
+    t = generate_trace(shape, seed=seed)
     if not t.has_dense_clients:  # n < clients cannot cover every id
         t = t.renumbered()
     cfg = SimulationConfig.relative(

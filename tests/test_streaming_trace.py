@@ -1,10 +1,12 @@
 """The streaming workload generator is bit-identical to the
-materialised one.
+whole-array reference generator.
 
-``TraceStream`` must reproduce ``generate_trace`` exactly — same five
-columns, same dtypes, same derived statistics — for the same
-``(config, seed)``, regardless of chunk size, and without retaining
-O(n) float columns between passes.
+``TraceStream`` must reproduce ``tests.trace_oracle.reference_generate_trace``
+exactly — same five columns, same dtypes, same derived statistics — for
+the same ``(config, seed)``, regardless of chunk size, and without
+retaining O(n) float columns between passes.  ``generate_trace`` is the
+materialised stream, so the oracle is the only independent
+implementation of the generator.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.traces import SyntheticTraceConfig, TraceStream, generate_trace, stream_trace
+from repro.traces import SyntheticTraceConfig, TraceStream, generate_trace
 from tests.conftest import example_budget
+from tests.trace_oracle import reference_generate_trace
 
 
 def assert_stream_matches(config: SyntheticTraceConfig, seed: int, chunk_rows=None):
-    ref = generate_trace(config, seed=seed)
+    ref = reference_generate_trace(config, seed=seed)
     stream = (
         TraceStream(config, seed=seed, chunk_rows=chunk_rows)
         if chunk_rows
@@ -31,7 +34,8 @@ def assert_stream_matches(config: SyntheticTraceConfig, seed: int, chunk_rows=No
         assert a.dtype == b.dtype, col
         np.testing.assert_array_equal(a, b, err_msg=col)
     assert stream.n_requests == len(ref)
-    assert stream.n_clients == ref.n_clients
+    assert stream.n_clients == got.n_clients == ref.n_clients
+    assert got.has_dense_clients == ref.has_dense_clients
     assert stream.total_bytes == ref.total_bytes
     assert stream.mean_request_size == ref.mean_request_size
     return ref, stream
@@ -79,7 +83,7 @@ def test_streamed_equals_generate_trace(
 
 def test_chunk_size_invariance():
     config = SyntheticTraceConfig(n_requests=2_000, n_clients=40)
-    ref = generate_trace(config, seed=5)
+    ref = reference_generate_trace(config, seed=5)
     for chunk in (1, 7, 63, 1024, 100_000):
         got = TraceStream(config, seed=5, chunk_rows=chunk).materialise()
         for col in ("timestamps", "clients", "docs", "sizes", "versions"):
@@ -107,6 +111,12 @@ def test_chunks_reiterable_and_bounded():
     first = [c[0].copy() for c in stream.chunks()]
     second = [c[0].copy() for c in stream.chunks()]
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    # Two passes in lockstep re-position the stream's one generator in turn.
+    lockstep = list(zip(stream.chunks(), stream.chunks()))
+    assert len(lockstep) == len(first)
+    for (a, b), want in zip(lockstep, first):
+        np.testing.assert_array_equal(a[0], want)
+        np.testing.assert_array_equal(b[0], want)
     for cols in stream.chunks():
         assert len(cols) == 5
         assert all(len(col) <= 256 for col in cols)
@@ -118,18 +128,22 @@ def test_iter_rows_matches_materialised_rows():
     assert list(stream.iter_rows()) == list(stream.materialise().iter_rows())
 
 
-def test_stream_trace_helper_and_len():
+def test_stream_len_and_duration():
     config = SyntheticTraceConfig(n_requests=64, n_clients=4)
-    stream = stream_trace(config, seed=3)
+    stream = TraceStream(config, seed=3)
     assert len(stream) == 64
     assert stream.has_dense_clients
-    assert stream.duration == generate_trace(config, seed=3).duration
+    assert stream.duration == reference_generate_trace(config, seed=3).duration
 
 
 def test_generator_seed_rejected():
+    """Both entry points own the bit generator they re-position, so a
+    caller's ``Generator`` is refused rather than silently copied."""
     config = SyntheticTraceConfig(n_requests=8, n_clients=2)
     with pytest.raises(TypeError):
         TraceStream(config, seed=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        generate_trace(config, seed=np.random.default_rng(0))
 
 
 def test_generative_loop_runs_once_per_stream(monkeypatch):
@@ -156,7 +170,7 @@ def test_generative_loop_runs_once_per_stream(monkeypatch):
     trace = stream.materialise()
     assert len(calls) == 1
     assert rows == list(trace.iter_rows())
-    assert rows == list(generate_trace(config, seed=4).iter_rows())
+    assert rows == list(reference_generate_trace(config, seed=4).iter_rows())
 
 
 def test_reiteration_memory_is_per_chunk():
@@ -184,30 +198,33 @@ def test_reiteration_memory_is_per_chunk():
 def test_streaming_memory_below_materialised_generation():
     """Streaming retains ~8 B/request (int32 client + pair index) plus
     an O(unique pairs) key table, and its transient peak must stay well
-    under ``generate_trace``'s, which allocates five O(n) result columns
-    plus O(n) float temporaries."""
+    under whole-array generation's (the oracle's), which allocates five
+    O(n) result columns plus O(n) float temporaries.  ``generate_trace``
+    materialises a stream, so it peaks below the oracle too."""
     import tracemalloc
 
     config = SyntheticTraceConfig(n_requests=120_000, n_clients=500)
 
-    tracemalloc.start()
-    try:
-        trace = generate_trace(config, seed=0)
-        mat_current, mat_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    del trace
+    def traced(build):
+        tracemalloc.start()
+        try:
+            kept = build()  # alive while the retained bytes are read
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
-    tracemalloc.start()
-    try:
+    def stream_all():
         stream = TraceStream(config, seed=0, chunk_rows=4_096)
         for _ in stream.chunks():
             pass
-        stream_current, stream_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        return stream
 
-    # measured locally: ~37 MB / ~10 MB peak, ~5.5 MB / ~3.2 MB retained
+    mat_current, mat_peak = traced(lambda: reference_generate_trace(config, seed=0))
+    stream_current, stream_peak = traced(stream_all)
+    _, gen_peak = traced(lambda: generate_trace(config, seed=0))
+
+    # measured locally: peaks ~37 MB (oracle), ~9 MB (stream) and ~19 MB
+    # (generate_trace); ~5.5 MB / ~1.9 MB retained
     assert stream_peak < mat_peak / 2, (
         f"streaming peak {stream_peak:,} B not well below "
         f"materialised generation peak {mat_peak:,} B"
@@ -215,4 +232,8 @@ def test_streaming_memory_below_materialised_generation():
     assert stream_current < mat_current, (
         f"streaming retains {stream_current:,} B, more than a "
         f"materialised trace ({mat_current:,} B)"
+    )
+    assert gen_peak < mat_peak * 3 / 4, (
+        f"generate_trace peaked at {gen_peak:,} B, not below the "
+        f"whole-array generator's {mat_peak:,} B"
     )
