@@ -146,10 +146,6 @@ class _Fenwick:
             i -= i & (-i)
         return total
 
-    def suffix_after(self, pos: int) -> int:
-        """Sum of weights over positions strictly greater than *pos*."""
-        return self.total - self.prefix(pos)
-
     def _grow(self) -> None:
         self.cap *= 2
         self.weights.extend([0] * (self.cap - len(self.weights)))

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import SimulationConfig
 from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization

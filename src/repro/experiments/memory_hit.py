@@ -53,11 +53,6 @@ class MemoryHitVariant:
         return 1.0 - self.baps.total_hit_latency() / plb_lat
 
     @property
-    def memory_ratio_advantage(self) -> float:
-        """BAPS memory byte hit ratio minus PLB's (points)."""
-        return self.baps.memory_byte_hit_ratio - self.plb.memory_byte_hit_ratio
-
-    @property
     def normalized_latency_reduction(self) -> float:
         """Latency-per-hit-byte reduction — fair when the two byte hit
         ratios are close but not identical."""

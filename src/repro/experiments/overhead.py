@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
-from repro.core.events import HitLocation
 from repro.core.metrics import SimulationResult
 from repro.core.policies import Organization
 from repro.core.simulator import simulate

@@ -9,14 +9,13 @@ the document.
 Like Summary Cache, each proxy keeps its summary current instead of
 rebuilding it: :class:`CountingSummary` holds the member set (proxy
 cache keys plus the browser index's ``claimed_docs``) as of the last
-exchange and a count per bit.  An exchange recomputes the member set
-from live state with plain set operations, then adds or subtracts the
-hash positions of only the keys that joined or left, so its hashing
-cost grows with churn between exchanges, not with cache size.  The
-bits are exactly the positions whose count is positive, which is the
-OR-build of the member set.  Each shipped digest
-(:func:`build_proxy_digest`) reads them into its int bitset with one
-``int.from_bytes``, so a peer's claim is one memoised mask and one AND.
+exchange and a count per bit, bit-sliced into a few ints.  An exchange
+recomputes the member set from live state with one set display, then
+adds or subtracts the int masks of only the keys that joined or left,
+so its cost grows with churn between exchanges, not with cache size.
+The summary's int ``bitset`` (the bits with a positive count, which is
+the OR-build of the member set) ships as the digest as it is, so a
+peer's claim is one shape-table lookup and one AND.
 
 Digests go stale between exchanges exactly like Summary Cache
 summaries: a claim may outlive the content (false hit — a wasted
@@ -40,10 +39,12 @@ charged to the separate ``antientropy_bytes`` counter.
 
 from __future__ import annotations
 
-from array import array
+import math
+from functools import reduce
+from operator import or_
 
 from repro.core.config import FederationConfig
-from repro.index.bloom import BloomFilter, key_positions
+from repro.index.bloom import BloomFilter, shape_table
 
 __all__ = ["CountingSummary", "DigestDirectory", "build_proxy_digest"]
 
@@ -51,42 +52,52 @@ __all__ = ["CountingSummary", "DigestDirectory", "build_proxy_digest"]
 class CountingSummary:
     """One proxy's running digest: a counting Bloom filter.
 
-    ``members`` is the key set of the last update and ``counts[p]`` the
-    number of (member, hash) pairs landing on bit *p*, duplicates
-    included, so ``bits`` (bit *p* is bit ``p & 7`` of byte ``p >> 3``)
-    is exactly ``{p : counts[p] > 0}`` — the bits an OR-build of
-    ``members`` would set.
+    ``members`` is the key set of the last update; each member counts
+    once at every bit of its mask.  Bit *p* of ``planes[j]`` is bit *j*
+    of bit *p*'s count, so a member joins by a ripple-carry add of its
+    mask and leaves by a ripple-borrow subtract.  ``bitset``, the OR of
+    the planes, is the bits an OR-build of ``members`` would set.
     """
 
     def __init__(self, capacity: int, bits_per_doc: float) -> None:
         shape = BloomFilter.for_capacity(capacity, bits_per_doc)
         self.n_bits = shape.n_bits
         self.n_hashes = shape.n_hashes
-        self.bits = bytearray(shape.size_bytes)
-        self.counts = array("i", [0]) * self.n_bits
+        self._masks = shape_table(shape.n_bits, shape.n_hashes)
+        self.planes: list[int] = []
+        self.bitset = 0
         self.members: set[int] = set()
 
     def update(self, members: set[int]) -> None:
-        """Move the summary to *members*, touching only the bits of the
-        keys that joined or left since the last update."""
+        """Move the summary to *members*, touching only the counts of
+        the keys that joined or left since the last update."""
         added = members - self.members
         removed = self.members - members
         self.members = members
-        counts = self.counts
-        bits = self.bits
-        for p in key_positions(added, self.n_bits, self.n_hashes):
-            counts[p] += 1
-            bits[p >> 3] |= 1 << (p & 7)
-        for p in key_positions(removed, self.n_bits, self.n_hashes):
-            n = counts[p] - 1
-            counts[p] = n
-            if not n:
-                bits[p >> 3] &= ~(1 << (p & 7))
+        masks = self._masks
+        planes = self.planes
+        for key in added:
+            carry = masks[key]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        for key in removed:
+            borrow = masks[key]
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+                if not borrow:
+                    break
+        self.bitset = reduce(or_, planes, 0)
 
     def snapshot(self, n_added: int) -> BloomFilter:
         """The current bits as a shippable digest."""
         digest = BloomFilter(self.n_bits, self.n_hashes)
-        digest.bitset = int.from_bytes(self.bits, "little")
+        digest.bitset = self.bitset
         digest.n_added = n_added
         return digest
 
@@ -114,14 +125,10 @@ def build_proxy_digest(
         if sim.index is not None:
             digest.add_many(sim.index.claimed_docs())
         return digest
-    members = set(sim.proxy) if sim.proxy is not None else set()
-    n_added = len(members)
-    if sim.index is not None:
-        claimed = sim.index.claimed_docs()
-        n_added += len(claimed)
-        members.update(claimed)
-    summary.update(members)
-    return summary.snapshot(n_added)
+    cached = sim.proxy if sim.proxy is not None else ()
+    claimed = sim.index.claimed_docs() if sim.index is not None else ()
+    summary.update({*cached, *claimed})
+    return summary.snapshot(len(cached) + len(claimed))
 
 
 class DigestDirectory:
@@ -162,9 +169,12 @@ class DigestDirectory:
             if fed.n_proxies > 1 and not self.oracle
             else []
         )
+        #: doc -> its digest bits as an int (the summaries' shape table).
+        self._masks = self.summaries[0]._masks if self.summaries else None
         self.exchanges = 0
         self.antientropy_refreshes = 0
-        self._last_exchange: float | None = None
+        #: when the last exchange ran; none has yet at ``-inf``.
+        self.last_exchange = -math.inf
 
     def maybe_exchange(self, sims, t: float, result, schedule=None) -> None:
         """Run a digest exchange if one is due at time *t*.
@@ -186,42 +196,10 @@ class DigestDirectory:
         """
         if self.fed.n_proxies <= 1 or self.oracle:
             return
-        if self._last_exchange is not None and t - self._last_exchange < self.fed.digest_period:
+        if t - self.last_exchange < self.fed.digest_period:
             return
-        n = self.fed.n_proxies
-        fanout = n - 1
-        views = self.views
         split = schedule is not None and schedule.active
-        for pid, sim in enumerate(sims):
-            digest = build_proxy_digest(
-                sim, self.capacity, self.fed.digest_bits_per_doc, self.summaries[pid]
-            )
-            self.digests[pid] = digest
-            if not split:
-                if views is not None:
-                    for viewer in range(n):
-                        if viewer != pid:
-                            views[viewer][pid] = digest
-                result.digest_bytes_exchanged += digest.size_bytes * fanout
-                result.interproxy_bandwidth_time += (
-                    self.fed.transfer_time(digest.size_bytes) * fanout
-                )
-                continue
-            delivered = 0
-            for viewer in range(n):
-                if viewer == pid:
-                    continue
-                if schedule.connected(pid, viewer):
-                    views[viewer][pid] = digest
-                    delivered += 1
-                else:
-                    result.digest_exchanges_lost += 1
-            result.digest_bytes_exchanged += digest.size_bytes * delivered
-            result.interproxy_bandwidth_time += (
-                self.fed.transfer_time(digest.size_bytes) * delivered
-            )
-        self._last_exchange = t
-        self.exchanges += 1
+        self._ship(sims, t, result, schedule if split else None)
 
     def antientropy(self, sims, t: float, result) -> None:
         """Post-heal full refresh: every proxy rebuilds its digest and
@@ -233,25 +211,40 @@ class DigestDirectory:
         """
         if self.fed.n_proxies <= 1 or self.oracle:
             return
+        self._ship(sims, t, result, None, repair=True)
+        self.antientropy_refreshes += 1
+
+    def _ship(self, sims, t: float, result, schedule, repair: bool = False) -> None:
+        """Build every proxy's digest and send it to each peer *schedule*
+        (``None``: no open partition) connects it to; charge the copies
+        sent to ``antientropy_bytes`` on a *repair*, else to
+        ``digest_bytes_exchanged``."""
         n = self.fed.n_proxies
-        fanout = n - 1
         views = self.views
         for pid, sim in enumerate(sims):
             digest = build_proxy_digest(
                 sim, self.capacity, self.fed.digest_bits_per_doc, self.summaries[pid]
             )
             self.digests[pid] = digest
-            if views is not None:
-                for viewer in range(n):
-                    if viewer != pid:
+            delivered = 0
+            for viewer in range(n):
+                if viewer == pid:
+                    continue
+                if schedule is None or schedule.connected(pid, viewer):
+                    if views is not None:
                         views[viewer][pid] = digest
-            result.antientropy_bytes += digest.size_bytes * fanout
+                    delivered += 1
+                else:
+                    result.digest_exchanges_lost += 1
+            if repair:
+                result.antientropy_bytes += digest.size_bytes * delivered
+            else:
+                result.digest_bytes_exchanged += digest.size_bytes * delivered
             result.interproxy_bandwidth_time += (
-                self.fed.transfer_time(digest.size_bytes) * fanout
+                self.fed.transfer_time(digest.size_bytes) * delivered
             )
-        self._last_exchange = t
+        self.last_exchange = t
         self.exchanges += 1
-        self.antientropy_refreshes += 1
 
     def claims(self, sims, pid: int, doc: int, viewer: int | None = None) -> bool:
         """Does proxy *pid*'s digest, as held by *viewer*, claim *doc*?
@@ -272,4 +265,7 @@ class DigestDirectory:
             digest = self.views[viewer][pid]
         else:
             digest = self.digests[pid]
-        return digest is not None and doc in digest
+        if digest is None:
+            return False
+        mask = self._masks[doc]
+        return digest.bitset & mask == mask

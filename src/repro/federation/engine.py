@@ -209,20 +209,22 @@ class FederatedSimulator:
         at time *t* — the fabric poll (anti-entropy once a partition
         heals), the home proxy's crash/checkpoint clock, the periodic
         digest exchange — in that order.  Returns the home proxy."""
-        result = self.result
         schedule = self.link_schedule
         if schedule is not None:
             entered, healed = schedule.poll(t)
             if entered:
-                result.partition_windows += entered
+                self.result.partition_windows += entered
             if healed:
                 # The fabric healed since the last request: the
                 # separated sides reconcile their digest views.
-                self.directory.antientropy(self.sims, t, result)
+                self.directory.antientropy(self.sims, t, self.result)
         pid = self.owner[c]
         self._advance(pid, t)
-        if self.fed.n_proxies > 1:
-            self.directory.maybe_exchange(self.sims, t, result, schedule)
+        # maybe_exchange's own due test (summaries exist iff digests
+        # are exchanged), asked here so most requests make no call
+        directory = self.directory
+        if directory.summaries and t - directory.last_exchange >= self.fed.digest_period:
+            directory.maybe_exchange(self.sims, t, self.result, schedule)
         return pid
 
     def _advance(self, pid: int, t: float) -> None:
@@ -262,6 +264,7 @@ class FederatedSimulator:
         fed = self.fed
         sims = self.sims
         directory = self.directory
+        claims = directory.claims
         schedule = self.link_schedule
         result = self.result
         overhead = result.overhead
@@ -269,7 +272,7 @@ class FederatedSimulator:
         claimed = []
         for offset in range(1, n):
             q = (pid + offset) % n
-            claim = directory.claims(sims, q, d, viewer=pid)
+            claim = claims(sims, q, d, viewer=pid)
             claimed.append(claim)
             if not claim:
                 continue
@@ -304,7 +307,7 @@ class FederatedSimulator:
                 # An unreachable peer is partition loss, not digest
                 # staleness — never a missed hit.
                 continue
-            if directory.claims(sims, q, d, viewer=pid) if live else claim:
+            if claims(sims, q, d, viewer=pid) if live else claim:
                 continue
             if self._could_serve(sims[q], c, d, v):
                 result.digest_missed_hits += 1

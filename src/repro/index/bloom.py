@@ -11,21 +11,19 @@ since the last rebuild, which is exactly the staleness the periodic
 update mode models.
 
 Hashing uses double hashing over a 64-bit mix of the key (Kirsch &
-Mitzenmacher: two independent hashes generate k), so a single-key add
-or query is O(k) with no digest computation in the hot path.  The same
-document is hashed for many filters of one shape (a browser-index row
-on every insert and lookup, each peer digest a miss consults, counting
-summary updates, small rebuilds), so a key's positions and its int
-mask (:func:`key_mask`: ``1 << p`` ORed over its positions, built on
-first use) are computed once per filter shape ``(n_bits, n_hashes)``
-and kept in one process-wide memo of at most ``_MEMO_KEYS`` (4,096)
-keys, oldest dropped first.  Entries are a pure function of the key and
-shape, so sharing them is safe.
+Mitzenmacher: two independent hashes generate k).  The same document is
+hashed for many filters of one shape (a browser-index row on every
+insert and lookup, each peer digest a miss consults, counting-summary
+updates, small rebuilds), so each shape ``(n_bits, n_hashes)`` has one
+process-wide :class:`ShapeTable`, a dict from key to its int mask
+(``1 << p`` ORed over its positions).  A key is hashed on its first
+lookup; after that its mask is one dict subscript.  A table is bounded
+(:attr:`ShapeTable.limit`, about 16 MiB) and at most ``_MAX_SHAPES``
+shapes keep one.
 
 A filter's bits are one Python ``int``, :attr:`BloomFilter.bitset`
 (bit *p* of the int is filter bit *p*): :meth:`BloomFilter.add` ORs
-the key's mask in and ``key in f`` is ``f.bitset & m == m``, two
-C-level int operations with no per-bit loop and no numpy call.
+the key's mask in and ``key in f`` is ``f.bitset & m == m``.
 ``BloomFilter._bits`` shows the same bits as read-only ``uint64``
 words (bit *p* is bit ``p & 63`` of word ``p >> 6``) and accepts words.
 
@@ -35,19 +33,19 @@ Bulk loads take the batch path, :func:`keys_mask` (behind
 the single-key ``(h1 + i * h2) % m`` — set in one boolean array that is
 packed into an int once, so the bits match repeated
 :meth:`BloomFilter.add` exactly.  A batch of fewer than
-``_BATCH_MIN_KEYS`` keys ORs the memoised masks instead, where numpy's
-per-call overhead would dominate; the bits are the same.
-:func:`key_positions` exposes the positions to callers that count them
-(the federation's counting digests).
+``_BATCH_MIN_KEYS`` keys ORs its table masks instead.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
 from repro.util.validation import check_positive
 
-__all__ = ["BloomFilter", "key_mask", "key_positions", "keys_mask"]
+__all__ = ["BloomFilter", "ShapeTable", "keys_mask", "shape_table"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -81,40 +79,49 @@ def _positions(key: int, n_bits: int, n_hashes: int):
             pos -= n_bits
 
 
-#: most (key, filter shape) pairs :func:`_key_bits` keeps; past it the
-#: oldest pair is dropped.
-_MEMO_KEYS = 4096
-
-#: ``(key, n_bits, n_hashes) -> [positions, mask]``, process-wide:
-#: every entry is a pure function of its key, so sharing is safe.  The
-#: mask is built on the first :func:`key_mask` call.
-_memo: dict[tuple[int, int, int], list] = {}
+#: about the bytes one shape table may hold before it is emptied.
+_TABLE_BYTES = 1 << 24
 
 
-def _key_bits(key: int, n_bits: int, n_hashes: int) -> list:
-    """*key*'s memo entry: its :func:`_positions` as a tuple, then its
-    :func:`key_mask` or ``None`` until first asked for.  The key is
-    hashed once per filter shape while the entry stays in the memo."""
-    memo_key = (key, n_bits, n_hashes)
-    entry = _memo.get(memo_key)
-    if entry is None:
-        if len(_memo) >= _MEMO_KEYS:
-            del _memo[next(iter(_memo))]
-        entry = _memo[memo_key] = [tuple(_positions(key, n_bits, n_hashes)), None]
-    return entry
+class ShapeTable(dict):
+    """``key -> mask`` for one filter shape: ``1 << p`` ORed over the
+    key's :func:`_positions`, computed by :meth:`__missing__`.  It keeps
+    at most :attr:`limit` keys, ``_TABLE_BYTES // (n_bits // 8 + 100)``
+    (a mask's bytes plus about 100 for its key, int header and dict
+    slot) and at least 256; a miss on a full table empties it first."""
 
+    __slots__ = ("n_bits", "n_hashes", "limit")
 
-def key_mask(key: int, n_bits: int, n_hashes: int) -> int:
-    """*key*'s bits as one int, ``1 << p`` ORed over its positions;
-    memoised with them."""
-    entry = _key_bits(key, n_bits, n_hashes)
-    mask = entry[1]
-    if mask is None:
+    def __init__(self, n_bits: int, n_hashes: int) -> None:
+        super().__init__()
+        self.n_bits = n_bits
+        self.n_hashes = n_hashes
+        self.limit = max(256, _TABLE_BYTES // (n_bits // 8 + 100))
+
+    def __missing__(self, key: int) -> int:
+        if len(self) >= self.limit:
+            self.clear()
         mask = 0
-        for pos in entry[0]:
+        for pos in _positions(key, self.n_bits, self.n_hashes):
             mask |= 1 << pos
-        entry[1] = mask
-    return mask
+        self[key] = mask
+        return mask
+
+
+#: ``(n_bits, n_hashes) -> ShapeTable``, process-wide (a mask is a pure
+#: function of key and shape); the oldest past ``_MAX_SHAPES`` is dropped.
+_tables: dict[tuple[int, int], ShapeTable] = {}
+_MAX_SHAPES = 8
+
+
+def shape_table(n_bits: int, n_hashes: int) -> ShapeTable:
+    """The process-wide :class:`ShapeTable` of one filter shape."""
+    table = _tables.get((n_bits, n_hashes))
+    if table is None:
+        if len(_tables) >= _MAX_SHAPES:
+            del _tables[next(iter(_tables))]
+        table = _tables[n_bits, n_hashes] = ShapeTable(n_bits, n_hashes)
+    return table
 
 
 def _batch_positions(keys, n_bits: int, n_hashes: int) -> np.ndarray:
@@ -132,24 +139,12 @@ def _batch_positions(keys, n_bits: int, n_hashes: int) -> np.ndarray:
 _BATCH_MIN_KEYS = 16
 
 
-def key_positions(keys, n_bits: int, n_hashes: int) -> list[int]:
-    """Every key's *n_hashes* bit positions, key by key, as one list (a
-    key's repeated positions included).  *keys* is a sized collection
-    of integers that fit in ``int64``."""
-    if len(keys) < _BATCH_MIN_KEYS:
-        return [p for key in keys for p in _key_bits(key, n_bits, n_hashes)[0]]
-    return _batch_positions(keys, n_bits, n_hashes).tolist()
-
-
 def keys_mask(keys, n_bits: int, n_hashes: int) -> int:
-    """Every key's :func:`key_mask` ORed into one int.  *keys* is a
+    """Every key's mask ORed into one int.  *keys* is a
     sized collection of integers that fit in ``int64``; a large one is
     hashed in one numpy batch and packed into the int once."""
     if len(keys) < _BATCH_MIN_KEYS:
-        mask = 0
-        for key in keys:
-            mask |= key_mask(key, n_bits, n_hashes)
-        return mask
+        return reduce(or_, map(shape_table(n_bits, n_hashes).__getitem__, keys), 0)
     flags = np.zeros(n_bits, dtype=np.bool_)
     flags[_batch_positions(keys, n_bits, n_hashes)] = True
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
@@ -187,7 +182,7 @@ class BloomFilter:
         self.bitset = int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
 
     def add(self, key: int) -> None:
-        self.bitset |= key_mask(key, self.n_bits, self.n_hashes)
+        self.bitset |= shape_table(self.n_bits, self.n_hashes)[key]
         self.n_added += 1
 
     def add_many(self, keys) -> None:
@@ -198,7 +193,7 @@ class BloomFilter:
         self.n_added += len(keys)
 
     def __contains__(self, key: int) -> bool:
-        mask = key_mask(key, self.n_bits, self.n_hashes)
+        mask = shape_table(self.n_bits, self.n_hashes)[key]
         return self.bitset & mask == mask
 
     def clear(self) -> None:

@@ -14,19 +14,19 @@ candidate against the true browser cache and charges a wasted round
 trip for false hits, exactly as with the periodic exact index.
 
 Layout: bit-sliced Python-int bitsets.  ``_rows[c]`` is client *c*'s
-filter as one int (shaped like :meth:`BloomBrowserIndex._new_filter`)
-and ``_cols[p]`` the int of clients whose filter has bit *p*.  A lookup
-ANDs the document's at most k columns (its positions come from the
-shared hash memo, hashed once per filter shape), stopping at the first
-empty result, and lists the set bits, so claimants come out in
+filter as one int (shaped by ``BloomFilter.for_capacity``) and
+``_cols[p]`` the int of clients whose filter has bit *p*.  A lookup
+ANDs the columns of the document's set bits (its mask is one lookup in
+the shape's :class:`~repro.index.bloom.ShapeTable`), stopping at the
+first empty result, and lists the set bits, so claimants come out in
 ascending client order with no per-client work.  An insert ORs the
-document's mask (:func:`~repro.index.bloom.key_mask`) into the row; a
-rebuild, re-announcement or restore recomputes the row in one batch
-(:func:`~repro.index.bloom.keys_mask`).  Either way only the columns of
-the bits that changed flip the client's bit.  A snapshot is a copy of the
-row list.  ``n_entries`` is a running count and ``footprint_bytes()``
-the modelled filter size (``n_clients`` filters of whole 64-bit words),
-so both are O(1).
+document's mask into the row, unless it makes a rebuild due: then the
+rebuild alone writes the row.  A rebuild, re-announcement or restore
+recomputes the row in one batch (:func:`~repro.index.bloom.keys_mask`).
+Either way only the columns of the bits that changed flip the client's
+bit.  A snapshot is a copy of the row list.  ``n_entries`` is a running
+count and ``footprint_bytes()`` the modelled filter size (``n_clients``
+filters of whole 64-bit words), so both are O(1).
 
 The claimed contents behind the filters are also kept per document: a
 ``doc -> number of clients claiming it`` map, updated by every insert,
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.index.bloom import BloomFilter, _key_bits, key_mask, keys_mask
+from repro.index.bloom import BloomFilter, keys_mask, shape_table
 from repro.index.browser_index import IndexLookup
 from repro.index.entry import IndexEntry
 from repro.index.staleness import StalenessStats
@@ -76,9 +76,9 @@ class BloomBrowserIndex:
         self.bits_per_doc = bits_per_doc
         self.expected_docs = max(1, expected_docs_per_client)
         self.rebuild_threshold = rebuild_threshold
-        shape = self._new_filter()
-        self._n_bits = shape.n_bits
-        self._n_hashes = shape.n_hashes
+        shape = BloomFilter.for_capacity(self.expected_docs, bits_per_doc)
+        #: doc -> its filter bits as an int (process-wide, per shape).
+        self._masks = shape_table(shape.n_bits, shape.n_hashes)
         #: ``_rows[c]``: client c's filter bits; ``_cols[p]``: the
         #: clients whose filter has bit p.
         self._rows = [0] * n_clients
@@ -109,9 +109,6 @@ class BloomBrowserIndex:
         self.rebuilds = 0
         self.reannouncements = 0
 
-    def _new_filter(self) -> BloomFilter:
-        return BloomFilter.for_capacity(self.expected_docs, self.bits_per_doc)
-
     # -- event intake (same signatures as BrowserIndex) --------------------
 
     def record_insert(
@@ -129,14 +126,10 @@ class BloomBrowserIndex:
             self.n_entries += 1
             self._claims[doc] += 1
         contents[doc] = (version, size)
-        self._set_row(
-            client, self._rows[client] | key_mask(doc, self._n_bits, self._n_hashes)
-        )
-        if replace:
-            # a new version under the same key: the filter entry is
-            # already present, nothing stale is introduced
-            return
-        self._bump(client, now)
+        # a new version under the same key introduces nothing stale; a
+        # due rebuild summarises *doc* too, so the row is written once
+        if replace or not self._bump(client, now):
+            self._set_row(client, self._rows[client] | self._masks[doc])
 
     def record_evict(self, client: int, doc: int, now: float) -> None:
         self.n_evict_events += 1
@@ -154,11 +147,15 @@ class BloomBrowserIndex:
         else:
             del claims[doc]
 
-    def _bump(self, client: int, now: float) -> None:
+    def _bump(self, client: int, now: float) -> bool:
+        """Count one change to *client*'s cache and rebuild its summary
+        once the changes pass the threshold; returns whether it did."""
         self._changes_since_rebuild[client] += 1
         basis = max(len(self._contents[client]), 20)
         if self._changes_since_rebuild[client] >= self.rebuild_threshold * basis:
             self.rebuild(client, now)
+            return True
+        return False
 
     def rebuild(self, client: int, now: float) -> None:
         """Client sends a fresh summary of its true contents."""
@@ -171,9 +168,9 @@ class BloomBrowserIndex:
 
     def _refill(self, client: int) -> None:
         """Reset *client*'s row to a summary of its claimed contents."""
-        self._set_row(
-            client, keys_mask(self._contents[client], self._n_bits, self._n_hashes)
-        )
+        masks = self._masks
+        row = keys_mask(self._contents[client], masks.n_bits, masks.n_hashes)
+        self._set_row(client, row)
 
     def _set_row(self, client: int, row: int) -> None:
         """Replace *client*'s row, toggling its bit in the column of
@@ -274,10 +271,13 @@ class BloomBrowserIndex:
         ascending."""
         cols = self._cols
         claimed = -1
-        for pos in _key_bits(doc, self._n_bits, self._n_hashes)[0]:
+        mask = self._masks[doc]
+        while mask:
+            pos = mask.bit_length() - 1
             claimed &= cols[pos]
             if not claimed:
                 return []
+            mask ^= 1 << pos
         holders = []
         while claimed:
             client = claimed.bit_length() - 1

@@ -43,6 +43,7 @@ from repro.core.churn import MassChurnSchedule
 from repro.traces.record import Trace
 from repro.util.rng import derive_seed, make_rng
 from repro.util.validation import (
+    check_finite,
     check_fraction,
     check_non_negative,
     check_positive,
@@ -138,6 +139,13 @@ class SyntheticTraceConfig:
         check_positive("mean_doc_size", self.mean_doc_size)
         check_positive("duration", self.duration)
         check_positive("min_doc_size", self.min_doc_size)
+        for name in (
+            "client_activity_alpha", "size_sigma", "size_popularity_beta", "mutate_size_sigma"
+        ):
+            check_finite(name, getattr(self, name))
+        check_positive("client_activity_alpha", self.client_activity_alpha)
+        check_non_negative("size_sigma", self.size_sigma)
+        check_non_negative("mutate_size_sigma", self.mutate_size_sigma)
         if not (0.0 <= self.diurnal_amplitude < 1.0):
             raise ValueError(
                 f"diurnal_amplitude must be in [0, 1), got {self.diurnal_amplitude}"

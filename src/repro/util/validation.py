@@ -7,8 +7,11 @@ as deep numpy broadcasting failures.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "check_positive",
+    "check_finite",
     "check_non_negative",
     "check_fraction",
     "check_probability",
@@ -26,6 +29,12 @@ __all__ = [
 def check_positive(name: str, value: float) -> float:
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def check_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -10,14 +10,12 @@ from hypothesis import example, given, settings
 
 from repro.federation.digest import CountingSummary
 from repro.index import BloomFilter
+from repro.index import bloom
 from repro.index.bloom import (
-    _MEMO_KEYS,
+    ShapeTable,
     _batch_positions,
-    _key_bits,
-    _memo,
-    key_mask,
-    key_positions,
     keys_mask,
+    shape_table,
 )
 from repro.index.signatures import IndexSpaceModel
 from tests.conftest import bloom_claims, bloom_positions, example_budget
@@ -116,6 +114,11 @@ def test_add_many_matches_repeated_add(n_bits, n_hashes, keys, n_dups):
     assert batched.n_added == one_by_one.n_added == len(keys)
 
 
+def mask_of(positions):
+    """``1 << p`` ORed over *positions*."""
+    return sum(1 << p for p in set(positions))
+
+
 @settings(max_examples=example_budget(80), deadline=None)
 @given(
     n_bits=st.one_of(st.integers(1, 70), st.integers(1, 3000)),
@@ -123,37 +126,61 @@ def test_add_many_matches_repeated_add(n_bits, n_hashes, keys, n_dups):
     keys=st.lists(st.integers(0, 2**62), max_size=40),
 )
 @example(n_bits=1, n_hashes=1, keys=[0, 2**62])
-@example(n_bits=4093, n_hashes=5, keys=list(range(7, 7 + _MEMO_KEYS + 250)))
 def test_key_positions_follow_double_hashing(n_bits, n_hashes, keys):
-    """Every hashing path lists ``(h1 + i * h2) % n_bits`` key by key,
-    as computed here without the memo: ``key_positions`` (one key at a
-    time for small batches, vectorised for large ones),
-    ``_batch_positions``, a key's memoised positions and ``key_mask``,
-    both when first hashed and when served from the memo, and the
-    batch ``keys_mask``.  A batch of more distinct keys than the memo
-    holds checks keys recomputed after eviction, and the memo stays
-    bounded."""
+    """Every hashing path sets the bits of ``(h1 + i * h2) % n_bits``
+    key by key, as computed here without the library: the vectorised
+    ``_batch_positions``, the shape's table (``add`` and ``in`` read it)
+    both when a key is first hashed and when its mask is served from it,
+    and ``keys_mask`` on small batches (table masks ORed) and large
+    ones (numpy)."""
     want = [bloom_positions(key, n_bits, n_hashes) for key in keys]
     flat = [p for positions in want for p in positions]
-    assert key_positions(keys, n_bits, n_hashes) == flat
     assert _batch_positions(keys, n_bits, n_hashes).tolist() == flat
-
-    def mask_of(positions):
-        return sum(1 << p for p in set(positions))
-
     assert keys_mask(keys, n_bits, n_hashes) == mask_of(flat)
+    assert keys_mask(keys[:5], n_bits, n_hashes) == mask_of(
+        [p for positions in want[:5] for p in positions]
+    )
+    table = shape_table(n_bits, n_hashes)
     for key, positions in zip(keys, want):
-        _memo.pop((key, n_bits, n_hashes), None)
-        for _ in range(2):  # first hashed, then memoised
-            mask = key_mask(key, n_bits, n_hashes)
-            assert list(_key_bits(key, n_bits, n_hashes)[0]) == positions
-            assert mask == mask_of(positions)
-    assert len(_memo) <= _MEMO_KEYS
-    if len(set(keys)) > _MEMO_KEYS:
-        assert (keys[0], n_bits, n_hashes) not in _memo
-    for key, positions in zip(keys, want):
-        assert list(_key_bits(key, n_bits, n_hashes)[0]) == positions
-        assert key_mask(key, n_bits, n_hashes) == mask_of(positions)
+        table.pop(key, None)
+        for _ in range(2):  # first hashed, then served from the table
+            assert table[key] == mask_of(positions)
+            assert shape_table(n_bits, n_hashes)[key] == mask_of(positions)
+
+
+@settings(max_examples=example_budget(40), deadline=None)
+@given(
+    n_bits=st.integers(1, 5000),
+    n_hashes=st.integers(1, 16),
+    keys=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=300),
+    table_bytes=st.sampled_from([1, 10_000, 40_000]),
+    other_shapes=st.lists(
+        st.tuples(st.integers(1, 300), st.integers(1, 4)), max_size=12
+    ),
+)
+def test_shape_tables_hold_closed_form_masks_within_their_bound(
+    n_bits, n_hashes, keys, table_bytes, other_shapes
+):
+    """For random keys up to 2**63-1 and random shapes, a table's mask
+    is ``1 << p`` ORed over the closed-form positions.  A table filled
+    past its bound (``_TABLE_BYTES`` shrunk so a few hundred keys
+    overflow it; the 256-key floor included) stays at or below it and
+    keeps returning correct masks, for keys hashed before and after it
+    was emptied.  At most ``_MAX_SHAPES`` shapes keep a table."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bloom, "_TABLE_BYTES", table_bytes)
+        table = ShapeTable(n_bits, n_hashes)
+    assert table.limit == max(256, table_bytes // (n_bits // 8 + 100))
+    # enough distinct keys to overflow the bound at least once
+    extra = [(keys[0] + i + 1) % 2**63 for i in range(table.limit)]
+    for key in keys + extra + keys:
+        assert table[key] == mask_of(bloom_positions(key, n_bits, n_hashes))
+        assert len(table) <= table.limit
+    for shape in other_shapes:
+        shared = shape_table(*shape)
+        assert shape_table(*shape) is shared
+        assert len(bloom._tables) <= bloom._MAX_SHAPES
+        assert shared[keys[0]] == mask_of(bloom_positions(keys[0], *shape))
 
 
 @settings(max_examples=example_budget(60), deadline=None)

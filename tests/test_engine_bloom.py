@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core import Organization, SimulationConfig, simulate
 from repro.index.bloom import BloomFilter
@@ -147,6 +147,7 @@ class ListOfFiltersModel:
         self.changes = [0] * n_clients
         self.threshold = threshold
         self.rr = 0
+        self.rebuilds = self.flushed_items = self.insert_rebuilds = 0
 
     def new_filter(self):
         return [0] * self.n_words
@@ -157,9 +158,9 @@ class ListOfFiltersModel:
 
     def insert(self, client, doc, version, replace):
         self.contents[client][doc] = (version, 100)
-        self.add(self.filters[client], doc)
-        if not replace:
-            self.bump(client)
+        self.add(self.filters[client], doc)  # OR first, then maybe rebuild
+        if not replace and self.bump(client):
+            self.insert_rebuilds += 1
 
     def evict(self, client, doc):
         self.contents[client].pop(doc, None)
@@ -170,17 +171,22 @@ class ListOfFiltersModel:
         basis = max(len(self.contents[client]), 20)
         if self.changes[client] >= self.threshold * basis:
             self.rebuild(client)
+            return True
+        return False
 
-    def rebuild(self, client):
+    def rebuild(self, client, announced=False):
         words = self.new_filter()
         for doc in self.contents[client]:
             self.add(words, doc)
         self.filters[client] = words
         self.changes[client] = 0
+        if not announced:
+            self.rebuilds += 1
+            self.flushed_items += len(self.contents[client])
 
     def reannounce(self, client, docs):
         self.contents[client] = {d: (0, 100) for d in docs}
-        self.rebuild(client)
+        self.rebuild(client, announced=True)
 
     def export(self):
         return (
@@ -331,3 +337,59 @@ def test_bit_matrix_matches_list_of_filters(ops, ids, expected, bits_per_doc, th
             assert index.claims_doc(doc) == (doc in claimed)
         assert index.n_entries == model.n_entries()
         assert index.footprint_bytes() == model.footprint_bytes()
+        assert index.rebuilds == model.rebuilds
+        assert index.stats.flushed_items == model.flushed_items
+
+
+@settings(max_examples=example_budget(60), deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 4), st.integers(0, 80)),
+        min_size=1,
+        max_size=150,
+    ),
+    ids=st.sampled_from(_CLIENT_LAYOUTS),
+    expected=st.integers(1, 24),
+    threshold=st.sampled_from([0.0, 0.05, 0.1, 0.25]),
+)
+@example(  # every insert is a rebuild
+    events=[(True, 0, d) for d in range(5)], ids=_CLIENT_LAYOUTS[1], expected=4,
+    threshold=0.0,
+)
+@example(  # caches past the 20-document floor, a rebuild every fourth event
+    events=[(True, c, d) for d in range(40) for c in range(5)] + [(False, 2, 3)] * 9,
+    ids=_CLIENT_LAYOUTS[1], expected=8, threshold=0.1,
+)
+def test_insert_triggered_rebuilds_write_the_rebuilt_row(events, ids, expected, threshold):
+    """Inserts that make a rebuild due (low thresholds, caches of up to
+    81 documents, so the ``max(len, 20)`` basis moves) leave the rows,
+    the columns (``cols[p] >> c & 1 == rows[c] >> p & 1`` bit by bit),
+    ``rebuilds`` and ``stats.flushed_items`` exactly where a reference
+    that ORs the document in and then rebuilds leaves them."""
+    n_clients = ids[-1] + 1
+    index = BloomBrowserIndex(
+        n_clients, expected_docs_per_client=expected, rebuild_threshold=threshold
+    )
+    model = ListOfFiltersModel(n_clients, expected, 16.0, threshold)
+    for now, (insert, client, doc) in enumerate(events):
+        client = ids[client]
+        if insert:
+            replace = doc in model.contents[client]
+            index.record_insert(client, doc, 0, 100, now, replace=replace)
+            model.insert(client, doc, 0, replace)
+        else:
+            index.record_evict(client, doc, now)
+            model.evict(client, doc)
+        rows = index._rows
+        assert [
+            [row >> (64 * i) & (2**64 - 1) for i in range(model.n_words)] for row in rows
+        ] == model.filters
+        assert all(
+            index._cols[p] >> c & 1 == rows[c] >> p & 1
+            for p in range(model.n_bits)
+            for c in range(n_clients)
+        )
+        assert index.rebuilds == model.rebuilds
+        assert index.stats.flushed_items == model.flushed_items
+    if threshold == 0.0 and any(insert for insert, _, _ in events):
+        assert model.insert_rebuilds > 0

@@ -266,16 +266,18 @@ def test_oracle_digest_period_charges_no_exchange_bytes():
     window_len=st.floats(0.1, 0.3),
     period_divisor=st.sampled_from([20, 40]),
     trace_seed=st.integers(0, 3),
+    memory_fraction=st.sampled_from([None, 0.25]),
 )
 def test_counting_digests_match_from_scratch_builds(
     n_proxies, index_knobs, crash_frac, window_start, window_len,
-    period_divisor, trace_seed,
+    period_divisor, trace_seed, memory_fraction,
 ):
     """Every digest a proxy ships — periodic exchange or post-heal
-    anti-entropy, across a proxy crash that empties its proxy cache —
-    has the bits, ``n_added`` and size of a from-scratch build at the
-    same instant, and a digest already held in a (partitioned) view
-    never changes afterwards."""
+    anti-entropy after the partition every run has, across a proxy
+    crash that empties its proxy cache, from a plain or a tiered
+    (memory/disk) proxy cache — has the bits, ``n_added`` and size of a
+    from-scratch build at the same instant, and a digest already held
+    in a (partitioned) view never changes afterwards."""
     trace = generate_trace(
         SyntheticTraceConfig(n_requests=1_500, n_clients=12, name="digests"),
         seed=trace_seed,
@@ -293,6 +295,7 @@ def test_counting_digests_match_from_scratch_builds(
             digest_period=span / period_divisor,
             link_faults=LinkFaultModel(partition_windows=(window,)),
         ),
+        memory_fraction=memory_fraction,
         **index_knobs,
     )
     engine = FederatedSimulator(trace, ORG, config)
@@ -315,6 +318,7 @@ def test_counting_digests_match_from_scratch_builds(
     directory = engine.directory
     assert directory.antientropy_refreshes >= 1
     assert result.digest_exchanges_lost > 0 and result.proxy_crashes > 0
+    assert result.uses_memory_tier == (memory_fraction is not None)
     for digest, bits in shipped:
         assert digest._bits.tolist() == bits
     held = {id(d) for row in directory.views for d in row if d is not None}

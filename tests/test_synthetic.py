@@ -109,6 +109,37 @@ def test_config_validation():
         SyntheticTraceConfig(mean_doc_size=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("client_activity_alpha", 0.0),
+        ("client_activity_alpha", -0.5),
+        ("client_activity_alpha", float("inf")),
+        ("size_sigma", -0.1),
+        ("size_sigma", float("nan")),
+        ("mutate_size_sigma", -1.0),
+        ("mutate_size_sigma", float("inf")),
+        ("size_popularity_beta", float("nan")),
+        ("size_popularity_beta", float("-inf")),
+    ],
+)
+def test_trace_knobs_fail_at_construction_naming_the_field(field, value):
+    """A bad activity, size or popularity knob is rejected when the
+    config is built, with an error that names it, instead of failing
+    (or warning) deep inside calibration."""
+    with pytest.raises(ValueError, match=field):
+        SyntheticTraceConfig(n_requests=200, n_clients=8, **{field: value})
+
+
+def test_trace_knob_edges_still_generate():
+    """Zero size noise and a negative size/popularity exponent are
+    valid and still build a trace."""
+    trace = gen(
+        n_requests=200, size_sigma=0.0, mutate_size_sigma=0.0, size_popularity_beta=-0.5
+    )
+    assert len(trace) == 200
+
+
 def test_scaled_helper():
     cfg = SyntheticTraceConfig(n_requests=10_000)
     assert cfg.scaled(0.5).n_requests == 5_000
