@@ -10,13 +10,16 @@ semantics:
 * entries carry a **version**; the simulation engine treats a version
   mismatch as a miss (the paper's size-change rule),
 * objects larger than the capacity are never admitted,
-* evictions can be observed through ``on_evict`` — this is how a
-  browser cache sends invalidation messages to the proxy's browser
-  index file.
+* ``put`` returns the evicted keys (an ``on_evict`` hook, if set, also
+  hears them).
 
+The engine reaches caches only through *stores*
+(:mod:`repro.cache.stores`): a bound ``probe`` and ``fill`` per
+population of caches, whose ``fill`` reports each eviction and the
+insert to the index handles it is given — this is how a browser cache
+sends invalidation messages to the proxy's browser index file.
 :class:`FlatBrowsers` holds a whole population of LRU browser caches
-in one flat slot pool; its ``fill`` reports evictions and the insert
-to the index handles it is given instead of calling a hook.
+in one flat slot pool and is a store of its own.
 """
 
 from repro.cache.base import Cache, CacheEntry

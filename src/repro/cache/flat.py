@@ -10,12 +10,13 @@ client, all of one uniform capacity.  Its operations replicate LRU
 browser caches exactly, so a replay over either layout is
 bit-identical.
 
-The replay loop calls :attr:`FlatBrowsers.probe` for every browser
-probe and :attr:`FlatBrowsers.fill` for every browser fill: functions
-bound over the pool's columns, so a call loads no attribute.  A fill
-takes the slot the same request's probe returned, so it looks nothing
-up twice, and reports the index events it causes (evictions, then the
-insert) to the handles it is given.
+The pool is a store (:mod:`repro.cache.stores`): the replay loop
+calls :attr:`FlatBrowsers.probe` for every browser probe and
+:attr:`FlatBrowsers.fill` for every browser fill, functions bound over
+the pool's columns, so a call loads no attribute.  Its probe returns a
+slot (``-1``: a miss), not an entry; a fill takes that slot, so it
+looks nothing up twice, and reports the index events it causes
+(evictions, then the insert) to the handles it is given.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class FlatBrowsers:
     :attr:`probe` and :attr:`fill` are closures over the columns, bound
     at construction and again by :meth:`keep_chains`.  :attr:`fill`
     reports each victim, then the insert, to the index's event handles
-    — the same events, in the same order, that the object backend sends
-    through ``on_evict`` and the engine's insert report.
+    — the same events, in the same order, as the object LRU store's
+    fill.
 
     Each slot stores its packed ``(client << DOC_BITS) | doc`` key
     (``e_key``).  Where the exact index or truth queries read them
@@ -192,7 +193,7 @@ def _bind_ops(pool: FlatBrowsers):
         in between (``None``: look it up).  A refresh grown beyond the
         capacity evicts *d* itself, which is reported twice: once as
         the put's victim and once as the refused refresh, as the
-        object backend reports it.  A new document larger than the
+        object LRU store reports it.  A new document larger than the
         capacity is refused without an event.  Either handle may be
         ``None`` (no index, or one that reads the holder chains).  Kept
         chains gain new slots and lose victims, and the events are

@@ -35,25 +35,26 @@ Every configuration of all three engines replays through **one loop**
 coherence, proxy crash recovery, the quarantine guard, the invariant
 monitor — is bound into hooks once per run, before the loop starts,
 and steps 2–5 fall through to one shared *fill tail* that populates
-the caches the serving step names.  The fill tail puts into plain LRU
-caches inline and reports each browser victim, then the insert, to
-the index handles itself; tiered and non-LRU browser caches report
-their victims through an ``on_evict`` hook.  Per-engine handles
-(caches, index, delivery methods) come from :meth:`Simulator._bind`.
-Client state has two backends behind the same loop: one cache object
-per client (the default), or every LRU browser cache in one flat
+the caches the serving step names.  Every cache is a *store* with a
+bound ``probe`` and ``fill`` (:mod:`repro.cache.stores`; the proxy is
+a store of one client), so the fill tail is one ``proxy_fill`` and one
+``browser_fill`` call.  Each fill takes the handle its store's probe
+returned; the browser fill reports each victim, then the insert, to
+the index handles.  Only the plain LRU probe stays inline (two C
+calls on the entry table).  Per-engine handles (stores, index,
+delivery methods) come from :meth:`Simulator._bind`.  Client state
+has two backends behind the same loop: one cache object per client
+(the default), or every LRU browser cache in one flat
 :class:`~repro.cache.FlatBrowsers` slot pool
 (:class:`~repro.core.stream_engine.StreamSimulator`, for
-million-client cells and streamed sources).  The flat backend takes
-its own arm in the browser probe, the fill (one
-:attr:`FlatBrowsers.fill <repro.cache.FlatBrowsers.fill>` call that
-takes the probed slot and reports its own index events), the holder
-lookup and the whole-population walks; it has no tiered or
-per-entry-expiry state, so ``StreamSimulator`` rejects those knobs
-(and federation) by name.  The third engine,
-:class:`~repro.federation.engine.FederatedSimulator`, has no loop of
-its own: it is a router in front of this one, holding one bound
-handle tuple per proxy.  Step 0 routes each request to its home proxy
+million-client cells and streamed sources).  The flat pool is a store
+too, whose probe hands the fill a slot; it takes its own arm in the
+browser probe's version check, the holder lookup and the
+whole-population walks.  It has no tiered or per-entry-expiry state,
+so ``StreamSimulator`` rejects those knobs (and federation) by name.
+The third engine, :class:`~repro.federation.engine.FederatedSimulator`,
+has no loop of its own: it is a router in front of this one, holding
+one bound handle tuple per proxy.  Step 0 routes each request to its home proxy
 (advancing the fabric, that proxy's crash clock and the digest
 exchange), and step 4 asks the peer proxies, whose probes reuse
 :meth:`_remote_delivery`.  *Truth queries* — could a browser the
@@ -103,7 +104,7 @@ import random
 from repro.adversarial import PeerPopulation
 from repro.cache import FlatBrowsers, TieredLRUCache, make_cache
 from repro.cache.flat import DOC_MASK
-from repro.cache.base import CacheEntry
+from repro.cache.stores import NO_STORE, bind_store
 from repro.core.chaos import InvariantMonitor
 from repro.core.churn import ChurnProcess
 from repro.core.config import SimulationConfig
@@ -250,6 +251,10 @@ class Simulator:
             if self.features.has_proxy
             else None
         )
+        # The object caches' bound probe/fill pairs (repro.cache.stores);
+        # the flat pool's are its own.
+        self._browser_store = bind_store(self.browsers) if self.browsers else NO_STORE
+        self._proxy_store = bind_store([self.proxy]) if self.proxy is not None else NO_STORE
 
         # Proxy crash recovery (before the index, which it shapes).
         # Nothing below constructs an RNG unless a rate-based fault model
@@ -266,17 +271,7 @@ class Simulator:
             else None
         )
 
-        if self.features.has_index:
-            self.index = self._new_index(n_clients)
-            # The loop's own fill reports the evictions of plain LRU
-            # browsers and of the flat pool; tiered and non-LRU caches
-            # report theirs through a hook reading the fill's time.
-            if self._tiered or config.browser_policy != "lru":
-                self._now = 0.0
-                for cid, cache in enumerate(self.browsers):
-                    cache.on_evict = self._make_evict_hook(cid)
-        else:
-            self.index = None
+        self.index = self._new_index(n_clients) if self.features.has_index else None
 
         self._churn = (
             ChurnProcess(config.churn, seed=config.availability_seed)
@@ -397,21 +392,15 @@ class Simulator:
             n_clients, UpdateMode.PERIODIC, policy=config.index_update_policy
         )
 
-    def _make_evict_hook(self, client: int):
-        def hook(doc: int) -> None:
-            self._record_evict(client, doc, self._now)
-
-        return hook
-
     # -- browser events: the index, and the holder map when kept -----------
 
     def _bind_index_events(self) -> None:
         """Point ``_record_insert``/``_record_evict`` — the handles every
-        browser insert and evict goes through (:meth:`_bind`, hence the
-        loop's fill tail and :attr:`FlatBrowsers.fill
-        <repro.cache.FlatBrowsers.fill>`; :meth:`_browser_put` and the
-        on-evict hooks) — at the index, or through the holder map when
-        one is kept (``None`` for a :class:`~repro.index.chain.ChainIndex`)."""
+        browser insert and evict goes through (:meth:`_bind` hands them
+        to the loop's one browser ``fill`` call, which reports each
+        victim, then the insert) — at the index, or through the holder
+        map when one is kept (``None`` for a
+        :class:`~repro.index.chain.ChainIndex`)."""
         if self._holders is None:
             self._record_insert = self.index.record_insert
             self._record_evict = self.index.record_evict
@@ -455,17 +444,6 @@ class Simulator:
         if held is not None and held.pop(client, None) is not None and not held:
             del self._holders[doc]
         self.index.record_evict(client, doc, now)
-
-    # -- cache access helpers (uniform over plain / tiered caches) ----------
-
-    def _get(self, cache, key: int):
-        """Returns ``(entry, served_from_memory: bool | None)``."""
-        if self._tiered:
-            entry, tier = cache.get(key)
-            if entry is None:
-                return None, None
-            return entry, tier.value == "memory"
-        return cache.get(key), None
 
     def _holder_online(self, holder: int, now: float) -> bool:
         """Client churn: is *holder* reachable at virtual time *now*?"""
@@ -588,7 +566,7 @@ class Simulator:
             held = flat.e_ver[slot] if slot >= 0 else None
             memory = None
         else:
-            entry, memory = self._get(self.browsers[holder], d)
+            entry, memory = self._browser_store.probe(holder, d)
             held = entry.version if entry is not None else None
         if held != v:
             # Stale index: the holder no longer has this document.
@@ -714,27 +692,6 @@ class Simulator:
             result.quarantine_rescued_hits += 1
             self._lookup_skipped_banned = False
         return (True, memory) if served else (False, None)
-
-    def _browser_put(self, client: int, doc: int, size: int, version: int, now: float) -> None:
-        """Insert into a tiered or non-LRU browser cache (the loop fills
-        plain LRU caches and the flat pool itself), keeping the index
-        (and the holder map, when kept) in sync.
-
-        Index events follow the put's own order: the evictions it
-        caused (through the cache's on-evict hook) first, then the
-        insert (or the eviction of the refreshed document itself)."""
-        cache = self.browsers[client]
-        if self.index is None:
-            cache.put(doc, size, version)
-            return
-        already = doc in cache
-        self._now = now  # read by the cache's on_evict hook
-        cache.put(doc, size, version)
-        # An oversized object is refused; only index what is cached.
-        if doc in cache:
-            self._record_insert(client, doc, version, size, now, replace=already)
-        elif already:
-            self._record_evict(client, doc, now)
 
     # -- proxy crash recovery ------------------------------------------------
 
@@ -888,30 +845,26 @@ class Simulator:
     def _bind(self) -> tuple:
         """The per-engine handles :meth:`_replay` holds in locals.
 
-        Plain caches get bound ``get``/``put`` methods and direct
-        entry-table views for the membership probes (the tiered model
-        keeps the uniform :meth:`_get`/:meth:`_browser_put` wrappers,
-        the flat pool probes through its own handles); the index gets
-        its event methods and guarded lookup bound once.  Rebound after
-        a crash replaces the index, and bound once per proxy of a
-        federation, whose loop unpacks the routed proxy's tuple.
+        Each store — the browsers (the flat pool's own closures, or the
+        object caches' from :func:`~repro.cache.stores.bind_store`) and
+        the proxy, a store of one client — comes as its bound ``probe``
+        and ``fill`` and the entry tables a plain LRU store is probed
+        through inline (the proxy's one table); the index gets its event
+        methods and guarded lookup bound once.  Rebound after a crash
+        replaces the index, and bound once per proxy of a federation,
+        whose loop unpacks the routed proxy's tuple.
         """
-        tiered = self._tiered
-        browsers = self.browsers
-        proxy = self.proxy
+        flat = self.flat
         index = self.index
-        plain_browsers = self.features.has_browsers and not tiered and self.flat is None
-        lru_p = proxy is not None and not tiered and self.config.proxy_policy == "lru"
+        proxy_probe, proxy_fill, proxy_tables = self._proxy_store
         return (
             self,
-            browsers,
-            [b.get for b in browsers] if plain_browsers else None,
-            [b.put for b in browsers] if plain_browsers else None,
-            [b._entries for b in browsers] if plain_browsers else None,
-            proxy,
-            proxy._entries if lru_p else None,
-            proxy.get if proxy is not None and not tiered else None,
-            proxy.put if proxy is not None else None,
+            self.browsers,
+            *((flat.probe, flat.fill, None) if flat is not None else self._browser_store),
+            self.proxy,
+            proxy_probe,
+            proxy_fill,
+            proxy_tables[0] if proxy_tables is not None else None,
             index,
             self._record_insert if index is not None else None,
             self._record_evict if index is not None else None,
@@ -919,7 +872,6 @@ class Simulator:
             index.is_stale if index is not None else False,
             self._failover_deliver,
             self._truth_holds,
-            self._browser_put,
             (
                 self._advance_recovery
                 if self._fault_schedule is not None or self._checkpointer is not None
@@ -990,10 +942,10 @@ class Simulator:
         result = self.result
         # Per-engine handles (see _bind): unpacked here, again after a
         # crash, and per request from the routed proxy under *fed*.
-        (sim, browsers, browser_gets, browser_puts, browser_entries,
-         proxy, proxy_entries, proxy_get, proxy_put,
+        (sim, browsers, browser_probe, browser_fill, browser_entries,
+         proxy, proxy_probe, proxy_fill, proxy_entries,
          index, record_insert, record_evict, index_lookup, index_stale,
-         failover, truth_holds, browser_put, recovery) = self._bind()
+         failover, truth_holds, recovery) = self._bind()
         if fed is not None:
             route = fed._route
             fed_bound = fed._bound
@@ -1013,7 +965,6 @@ class Simulator:
             monitor = self._monitor
 
         # Hoisted feature/config reads — loop-invariant.
-        tiered = self._tiered
         has_browsers = features.has_browsers
         has_proxy = proxy is not None
         caches_remote = features.caches_remote_fetches
@@ -1035,17 +986,8 @@ class Simulator:
         disk_pt = storage.disk_page_time
         BITS = BITS_PER_BYTE
 
-        self_get = self._get
         flat = self.flat
-        flat_probe = flat.probe if flat is not None else None
-        flat_fill = flat.fill if flat is not None else None
         flat_ver = flat.e_ver if flat is not None else None
-        # LRU probes bypass the Python-level Cache.get frame entirely:
-        # the merged-OrderedDict layout makes a probe one C-level
-        # dict.get plus (on residency) one C-level move_to_end — the
-        # exact semantics of LRUCache.get.
-        lru_b = browser_entries is not None and config.browser_policy == "lru"
-        lru_p = proxy_entries is not None
         security = self._security
         sec_transfer = security.transfer_cost if security is not None else None
         # Expiration-based coherence, bound once: without a policy a
@@ -1093,16 +1035,16 @@ class Simulator:
                     fed_counts[pid] = index.n_entries
                 # the home proxy's pre-request work, then its handles
                 pid = route(t, c)
-                (sim, browsers, browser_gets, browser_puts, browser_entries,
-                 proxy, proxy_entries, proxy_get, proxy_put,
+                (sim, browsers, browser_probe, browser_fill, browser_entries,
+                 proxy, proxy_probe, proxy_fill, proxy_entries,
                  index, record_insert, record_evict, index_lookup, index_stale,
-                 failover, truth_holds, browser_put, recovery) = fed_bound[pid]
+                 failover, truth_holds, recovery) = fed_bound[pid]
             elif recovery is not None and recovery(t):
                 # a crash replaced the index (the proxy empties in place)
-                (sim, browsers, browser_gets, browser_puts, browser_entries,
-                 proxy, proxy_entries, proxy_get, proxy_put,
+                (sim, browsers, browser_probe, browser_fill, browser_entries,
+                 proxy, proxy_probe, proxy_fill, proxy_entries,
                  index, record_insert, record_evict, index_lookup, index_stale,
-                 failover, truth_holds, browser_put, recovery) = self._bind()
+                 failover, truth_holds, recovery) = self._bind()
             # -- per-request hooks: invariant monitor, coherence clock
             if monitor is not None:
                 # Conservation is checked from the loop's batched local
@@ -1117,24 +1059,24 @@ class Simulator:
 
             # 1. local browser cache
             if has_browsers:
+                # *held*, the probe's handle, goes to the browser fill
                 if flat is not None:
-                    slot = flat_probe(c, d)
-                    entry = None
-                    current = slot >= 0 and flat_ver[slot] == v
+                    held = browser_probe(c, d)  # the slot, or -1
+                    current = held >= 0 and flat_ver[held] == v
                 else:
-                    if lru_b:
+                    if browser_entries is not None:
+                        # plain LRU: LRUCache.get on the entry table,
+                        # inline (two C calls, no frame)
                         bce = browser_entries[c]
-                        entry = bce.get(d)
-                        if entry is not None:
+                        held = bce.get(d)
+                        if held is not None:
                             bce.move_to_end(d)
-                    elif tiered:
-                        entry, memory = self_get(browsers[c], d)
                     else:
-                        entry = browser_gets[c](d)
-                    current = entry is not None and (
-                        entry.version == v
+                        held, memory = browser_probe(c, d)
+                    current = held is not None and (
+                        held.version == v
                         if fresh is None
-                        else fresh(entry, v, s, t, last_mod)
+                        else fresh(held, v, s, t, last_mod)
                     )
                 if current:
                     n_requests += 1
@@ -1152,19 +1094,17 @@ class Simulator:
                         lb_disk_bytes += s
                         local_hit_time += -(-s // disk_page) * disk_pt
                     continue
-                go_origin = coherent and entry is not None
+                go_origin = coherent and held is not None
 
             # 2. proxy cache
             via = None
             if has_proxy and not go_origin:
-                if lru_p:
+                if proxy_entries is not None:
                     entry = proxy_entries.get(d)
                     if entry is not None:
                         proxy_entries.move_to_end(d)
-                elif tiered:
-                    entry, memory = self_get(proxy, d)
                 else:
-                    entry = proxy_get(d)
+                    entry, memory = proxy_probe(0, d)
                 if entry is not None:
                     if (
                         entry.version == v
@@ -1277,100 +1217,12 @@ class Simulator:
 
             # -- fill tail: populate the caches the serving step names
             if to_proxy:
-                if lru_p:
-                    # inlined LRUCache.put (proxy caches have no evict
-                    # hook), reusing step 2's lookup: no later step touches
-                    # the home proxy, but coherence may have skipped step 2
-                    old = proxy_entries.get(d) if coherent else entry
-                    if old is not None:
-                        pused = proxy.used + s - old.size
-                        old.size = s
-                        old.version = ver
-                        proxy_entries.move_to_end(d)
-                    elif s <= proxy.capacity:
-                        proxy_entries[d] = CacheEntry(d, s, ver)
-                        pused = proxy.used + s
-                    else:
-                        pused = -1  # refused: no change
-                    if pused >= 0:
-                        cap = proxy.capacity
-                        if pused <= cap:
-                            proxy.used = pused
-                        else:
-                            while pused > cap:
-                                victim = None
-                                for k in proxy_entries:
-                                    if k != d:
-                                        victim = k
-                                        break
-                                if victim is None:
-                                    pused -= proxy_entries.pop(d).size
-                                    break
-                                pused -= proxy_entries.pop(victim).size
-                            proxy.used = pused
-                else:
-                    proxy_put(d, s, ver)
+                # step 2's entry; a coherence skip of step 2 peeks
+                proxy_fill(0, d, s, ver, t, None, None, proxy.peek(d) if go_origin else entry)
                 if stamp is not None:
                     stamp(proxy, d, t, last_mod)
             if to_browser:
-                if flat_fill is not None:
-                    flat_fill(c, d, s, ver, t, record_insert, record_evict, slot)
-                elif lru_b:
-                    # inlined LRUCache.put, reporting its index events
-                    # itself: each victim, then the insert
-                    bcache = browsers[c]
-                    bce = browser_entries[c]
-                    old = bce.get(d)
-                    if old is not None:
-                        bused = bcache.used + s - old.size
-                        old.size = s
-                        old.version = ver
-                        bce.move_to_end(d)
-                    elif s <= bcache.capacity:
-                        bce[d] = CacheEntry(d, s, ver)
-                        bused = bcache.used + s
-                    else:
-                        bused = -1  # refused: no change, no event
-                    if bused >= 0:
-                        cap = bcache.capacity
-                        while bused > cap:
-                            victim = None
-                            for k in bce:
-                                if k != d:
-                                    victim = k
-                                    break
-                            if victim is None:
-                                # Only the refreshed oversized copy is
-                                # left: reported as the put's victim and
-                                # again as the refused refresh.
-                                bused -= bce.pop(d).size
-                                if record_evict is not None:
-                                    record_evict(c, d, t)
-                                    record_evict(c, d, t)
-                                break
-                            bused -= bce.pop(victim).size
-                            if record_evict is not None:
-                                record_evict(c, victim, t)
-                        else:
-                            # no break: d stayed cached
-                            if record_insert is not None:
-                                record_insert(c, d, ver, s, t, old is not None)
-                        bcache.used = bused
-                elif browser_puts is None:
-                    browser_put(c, d, s, ver, t)
-                elif record_insert is None:
-                    browser_puts[c](d, s, ver)
-                else:
-                    # inlined _browser_put (non-LRU: the cache's
-                    # on_evict hook reports the victims)
-                    bce = browser_entries[c]
-                    already = d in bce
-                    sim._now = t
-                    browser_puts[c](d, s, ver)
-                    if d in bce:
-                        record_insert(c, d, ver, s, t, already)
-                    elif already:
-                        record_evict(c, d, t)
+                browser_fill(c, d, s, ver, t, record_insert, record_evict, held)
                 if stamp is not None:
                     stamp(browsers[c], d, t, last_mod)
             if index is not None and via != "proxy_probe":

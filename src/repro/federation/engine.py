@@ -266,6 +266,10 @@ class FederatedSimulator:
         directory = self.directory
         claims = directory.claims
         schedule = self.link_schedule
+        if schedule is not None and not schedule.active:
+            # no window open (only _route polls the fabric): every
+            # peer is reachable
+            schedule = None
         result = self.result
         overhead = result.overhead
         n = fed.n_proxies
@@ -324,7 +328,7 @@ class FederatedSimulator:
         they would be for the peer's own clients — onto the shared
         ledger."""
         if qsim.proxy is not None:
-            entry, memory = qsim._get(qsim.proxy, d)
+            entry, memory = qsim._proxy_store.probe(0, d)
             if entry is not None and entry.version == v:
                 return True, memory
         if qsim.index is not None:

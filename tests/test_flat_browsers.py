@@ -1,11 +1,13 @@
-"""``FlatBrowsers`` is a population of ``LRUCache`` browser caches.
+"""Every store (``repro.cache.stores``) is a population of caches.
 
-A model test drives random fill/probe sequences through one flat slot
-pool and through one ``LRUCache`` per client whose ``on_evict`` hook
-records events, with the index reports the object engine adds around a
-put (the insert, or the second eviction of a refused refresh).  Contents
-and LRU order, occupancy, slot reuse and the exact sequence of index
-events must agree.  A differential test drives the same fills into a
+A model test drives random fill/probe sequences through one store —
+the flat slot pool, plain LRU objects, every other policy, the tiered
+cache or the one-client proxy — and through one cache per client of
+the same policy (``LRUCache`` for the flat pool) whose ``on_evict`` hook
+records events, with the index reports added around a put (the
+insert, or the second eviction of a refused refresh).  Contents and
+order, occupancy, the flat pool's slot reuse and the exact sequence of
+index events must agree.  A differential test drives the same fills into a
 pool read by the chain index and into one reporting to a
 ``BrowserIndex``: every lookup, failover list and counter must agree,
 and every live slot must sit on exactly its document's holder chain.
@@ -20,8 +22,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cache import FlatBrowsers, LRUCache
+from repro.cache import POLICIES, FlatBrowsers, LRUCache, Tier, TieredLRUCache
 from repro.cache.flat import DOC_BITS, DOC_MASK
+from repro.cache.stores import bind_store
 from repro.core import Organization, SimulationConfig
 from repro.core.simulator import Simulator
 from repro.core.stream_engine import StreamSimulator
@@ -64,15 +67,41 @@ def walk(flat: FlatBrowsers, c: int) -> list[tuple[int, int, int]]:
     return items
 
 
+#: the store kinds: the flat pool, plain LRU objects, every other
+#: policy (each against its own cache as the model), the tiered cache,
+#: and the proxy, a store of one client whose fills get ``None`` handles.
+STORE_KINDS = ["flat", "lru", *sorted(set(POLICIES) - {"lru"}), "tiered", "proxy"]
+
+
+def _cache(kind: str, capacity: int):
+    if kind == "tiered":
+        return TieredLRUCache(capacity, 0.5)
+    return POLICIES.get(kind, LRUCache)(capacity)
+
+
+def _contents(cache) -> list[tuple[int, int, int]]:
+    """(doc, size, version) in the cache's own order (LRU to MRU for
+    LRU, memory then disk for tiered)."""
+    return [(k, cache.peek(k).size, cache.peek(k).version) for k in cache]
+
+
 @given(
+    kind=st.sampled_from(STORE_KINDS),
     capacity=_capacity,
     ops=st.lists(st.one_of(_fill, _probe), min_size=20, max_size=80),
     indexed=st.booleans(),
 )
-@settings(max_examples=example_budget(150), deadline=None)
-def test_fill_and_probe_match_one_lru_cache_per_client(capacity, ops, indexed):
-    flat = FlatBrowsers(N_CLIENTS, capacity)
-    models = [LRUCache(capacity) for _ in range(N_CLIENTS)]
+@settings(max_examples=example_budget(300), deadline=None)
+def test_fill_and_probe_match_one_lru_cache_per_client(kind, capacity, ops, indexed):
+    """Every store against one cache object per client (an ``LRUCache``
+    for the flat pool) whose ``on_evict`` hook records the evictions,
+    plus the reports the engine used to add around a put."""
+    n = 1 if kind == "proxy" else N_CLIENTS
+    indexed = indexed and kind != "proxy"
+    flat = FlatBrowsers(n, capacity) if kind == "flat" else None
+    caches = [_cache(kind, capacity) for _ in range(n)]
+    probe, fill = (flat.probe, flat.fill) if flat is not None else bind_store(caches)[:2]
+    models = [_cache(kind, capacity) for _ in range(n)]
     got: list[tuple] = []
     want: list[tuple] = []
     now = 0.0
@@ -85,18 +114,28 @@ def test_fill_and_probe_match_one_lru_cache_per_client(capacity, ops, indexed):
     def on_evict(c, d, t):
         got.append(("evict", c, d, t))
 
+    def probe_both(c, d):
+        """Probe the store and the model; returns the store's handle."""
+        entry, tier = models[c].get(d) if kind == "tiered" else (models[c].get(d), None)
+        if flat is not None:
+            handle = probe(c, d)
+            found = (flat.e_size[handle], flat.e_ver[handle]) if handle >= 0 else None
+        else:
+            handle, memory = probe(c, d)
+            assert memory == (None if tier is None else tier is Tier.MEMORY)
+            found = handle and (handle.size, handle.version)
+        assert found == (entry and (entry.size, entry.version))
+        return handle
+
     peak = 0  # most entries ever live at once, mid-fill included
     for step, op in enumerate(ops):
         now = float(step)
         live = sum(len(m) for m in models)
         if op[0] == "fill":
             _, c, d, s, v, handoff = op
+            c %= n
             model = models[c]
-            slot = None
-            if handoff:
-                entry = model.get(d)
-                slot = flat.probe(c, d)
-                assert (slot >= 0) == (entry is not None)
+            handle = (probe_both(c, d),) if handoff else ()
             already = d in model
             if not already and s <= model.capacity:
                 live += 1
@@ -106,26 +145,23 @@ def test_fill_and_probe_match_one_lru_cache_per_client(capacity, ops, indexed):
             elif already:
                 want.append(("evict", c, d, now))
             if indexed:
-                flat.fill(c, d, s, v, now, on_insert, on_evict, slot)
+                fill(c, d, s, v, now, on_insert, on_evict, *handle)
             else:
-                flat.fill(c, d, s, v, now, None, None, slot)
+                fill(c, d, s, v, now, None, None, *handle)
         else:
-            _, c, d = op
-            entry = models[c].get(d)
-            slot = flat.probe(c, d)
-            assert (slot >= 0) == (entry is not None)
-            if entry is not None:
-                assert (flat.e_size[slot], flat.e_ver[slot]) == (entry.size, entry.version)
+            probe_both(op[1] % n, op[2])
         peak = max(peak, live)
         for c, model in enumerate(models):
-            assert walk(flat, c) == [
-                (k, model.peek(k).size, model.peek(k).version)
-                for k in model.keys_by_recency()
-            ]
-            assert flat.used[c] == model.used
-        # Freed slots are reused before the pool grows.
-        assert len(flat.e_key) == peak
-        assert sorted(flat.free + list(flat.slot_of.values())) == list(range(peak))
+            if flat is not None:
+                assert walk(flat, c) == _contents(model)
+                assert flat.used[c] == model.used
+            else:
+                assert _contents(caches[c]) == _contents(model)
+                assert caches[c].used == model.used
+        if flat is not None:
+            # Freed slots are reused before the pool grows.
+            assert len(flat.e_key) == peak
+            assert sorted(flat.free + list(flat.slot_of.values())) == list(range(peak))
     assert got == (want if indexed else [])
 
 
@@ -244,17 +280,23 @@ def _walk_objects(sim: Simulator) -> set[tuple[int, int, int, int]]:
 
 
 @pytest.mark.parametrize(
-    "engine,policy",
-    [(Simulator, "lru"), (Simulator, "fifo"), (StreamSimulator, "lru")],
-    ids=["object-lru", "object-fifo", "flat"],
+    "engine,knobs",
+    [
+        (Simulator, {}),
+        (Simulator, {"browser_policy": "fifo"}),
+        (Simulator, {"browser_policy": "slru"}),
+        (Simulator, {"memory_fraction": 0.1}),
+        (StreamSimulator, {}),
+    ],
+    ids=["object-lru", "object-fifo", "object-slru", "object-tiered", "flat"],
 )
-def test_exact_index_equals_the_browser_caches(small_trace, engine, policy):
-    """Every browser insert and evict reaches the index, on the loop's
-    inlined LRU fill, the hook-driven fill of other policies and the
-    flat pool's fill alike."""
+def test_exact_index_equals_the_browser_caches(small_trace, engine, knobs):
+    """Every browser insert and evict reaches the index, through every
+    browser store's fill: plain LRU objects, other policies, the tiered
+    cache and the flat pool alike."""
     config = SimulationConfig.relative(
-        small_trace, proxy_frac=0.05, browser_sizing="minimum"
-    ).with_(browser_policy=policy)
+        small_trace, proxy_frac=0.05, browser_sizing="minimum", **knobs
+    )
     sim = engine(small_trace, BAPS, config)
     sim.run()
     index = sim.index

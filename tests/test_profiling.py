@@ -142,21 +142,24 @@ def test_samples_are_charged_to_the_step_that_did_the_work(small_trace, monkeypa
     sampler = profiling._Sampler(_loop_phase_map())
 
     lookup = BrowserIndex.lookup
-    browser_put = Simulator._browser_put
 
     def sampled_lookup(self, *args):
         sampler._on_sample(signal.SIGPROF, sys._getframe())
         return lookup(self, *args)
 
-    def sampled_browser_put(self, *args):
-        sampler._on_sample(signal.SIGPROF, sys._getframe())
-        return browser_put(self, *args)
-
     monkeypatch.setattr(BrowserIndex, "lookup", sampled_lookup)
-    monkeypatch.setattr(Simulator, "_browser_put", sampled_browser_put)
-    # the tiered memory model fills browsers through _browser_put.
     config = SimulationConfig.relative(small_trace, proxy_frac=0.10, memory_fraction=0.5)
-    result = simulate(small_trace, BAPS, config)
+    sim = Simulator(small_trace, BAPS, config)
+    # every browser fill is one call to the browser store's bound fill
+    store = sim._browser_store
+    browser_fill = store.fill
+
+    def sampled_browser_fill(*args):
+        sampler._on_sample(signal.SIGPROF, sys._getframe())
+        return browser_fill(*args)
+
+    sim._browser_store = store._replace(fill=sampled_browser_fill)
+    result = sim.run()
 
     by_location = result.by_location
     proxy_hits = by_location[HitLocation.PROXY].hits
