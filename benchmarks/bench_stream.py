@@ -8,7 +8,8 @@ per second plus the process's peak resident set size.  With
 (:func:`~repro.traces.synthetic.generate_trace` +
 :func:`~repro.core.simulator.simulate`) and the report carries the
 streamed/materialised peak-RSS ratio plus a result digest proving both
-engines produced identical numbers.
+engines produced identical numbers, and a generation-only row: the
+stream's calibration seconds and peak RSS.
 
 Every measurement runs in a fresh subprocess: ``ru_maxrss`` is a
 per-process *lifetime* high-water mark, so in-process back-to-back runs
@@ -79,22 +80,10 @@ def _worker(mode: str, n_requests: int, n_clients: int, seed: int) -> None:
     org = Organization(ORGANIZATION)
     t0 = time.perf_counter()
     if mode == "genstream":
-        # workload generation only: calibrate the stream (includes one
-        # full pass of the generative loop), keep it referenced
+        # workload generation only: calibrate the stream (resolve every
+        # request's document, size the pairs, normalise the timestamps),
+        # keep it referenced
         workload = TraceStream(tc, seed=seed)
-        print(
-            json.dumps(
-                {
-                    "mode": mode,
-                    "seconds": time.perf_counter() - t0,
-                    "peak_rss_bytes": peak_rss_bytes(),
-                    "n_requests": len(workload),
-                }
-            )
-        )
-        return
-    if mode == "genmat":
-        workload = generate_trace(tc, seed=seed)
         print(
             json.dumps(
                 {
@@ -177,20 +166,10 @@ def run_benchmark(
                 m["peak_rss_bytes"] / s["peak_rss_bytes"]
             ),
         }
-        # Workload-generation-only comparison.  The full-replay ratio
-        # above is diluted by simulated state identical in both engines
-        # (index entries, cached documents, generative loop state);
-        # generation-side RSS isolates what streaming actually removes:
-        # the five O(n)-request columns and their float temporaries.
-        gs = run_cell("genstream", n_requests, n_clients, seed)
-        gm = run_cell("genmat", n_requests, n_clients, seed)
-        report["generation"] = {
-            "streamed": gs,
-            "materialised": gm,
-            "rss_ratio_materialised_over_streamed": (
-                gm["peak_rss_bytes"] / gs["peak_rss_bytes"]
-            ),
-        }
+        # Workload generation alone: the stream's calibration, its
+        # seconds and peak RSS.  (Both engines generate through
+        # TraceStream, so there is no second generator to compare.)
+        report["generation"] = run_cell("genstream", n_requests, n_clients, seed)
     return report
 
 
@@ -223,9 +202,8 @@ def render(report: dict) -> str:
     gen = report.get("generation")
     if gen is not None:
         lines.append(
-            f"  generation only: streamed {_mb(gen['streamed']['peak_rss_bytes'])} "
-            f"vs materialised {_mb(gen['materialised']['peak_rss_bytes'])} "
-            f"({gen['rss_ratio_materialised_over_streamed']:.2f}x)"
+            f"  generation only (calibration) {gen['seconds']:.1f}s, "
+            f"peak RSS {_mb(gen['peak_rss_bytes'])}"
         )
     return "\n".join(lines)
 
@@ -300,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--worker",
-        choices=("stream", "mat", "genstream", "genmat"),
+        choices=("stream", "mat", "genstream"),
         help=argparse.SUPPRESS,
     )
     args = parser.parse_args(argv)

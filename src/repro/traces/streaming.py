@@ -1,4 +1,4 @@
-"""Synthetic workload generation: the one generative loop.
+"""Synthetic workload generation: one calibration per stream.
 
 :class:`TraceStream` runs the calibrated synthetic generator of
 :mod:`repro.traces.synthetic` and emits its requests as an iterator of
@@ -24,10 +24,17 @@ each, so the uniform cursors are positioned with ``PCG64.advance``; the
 variable-consumption draws (ziggurat exponentials, Poisson) are
 positioned from bit-generator states captured on the way.  One
 ``Generator`` per stream serves every cursor, re-positioned before each
-draw.
+draw (:meth:`TraceStream._variate_chunks`).
 
-Construction (calibration) runs the generative loop on those cursors
-exactly once, and keeps what it produced as tables: each request's
+Construction (calibration) reads those chunked draws exactly once and
+resolves every request's document and version.  Without embedded
+objects :meth:`TraceStream._resolve` does it in whole-column numpy
+passes: each re-reference becomes a pointer at an earlier request, and
+pointer jumping takes every pointer to the request that created its
+document.  With embedded objects, whether a request is forced to a
+queued embedded object depends on what its client's earlier request
+resolved to, so :meth:`TraceStream._loop_chunks` keeps a per-request
+loop.  Calibration keeps the result as tables: each request's
 index into the sorted unique ``(doc, version)`` pairs, each pair's
 packed key (``doc << 32 | version``) and its final size.  Emission is
 then a gather — docs are ``keys >> 32`` and versions ``keys &
@@ -41,14 +48,15 @@ Memory model
 A stream retains **8 bytes per request** (an ``int32`` client id and an
 ``int32`` pair index) plus O(unique pairs) key and size tables, against
 a materialised trace's five 8-byte columns plus its replay conversions.
-The generative process's own state (its preferential-attachment pool
-and per-client histories) lives only during calibration.  Each emitted
-chunk is O(``chunk_rows``).
+The resolver's compact columns (a kind code, a pointer and two flags per
+request, pool positions of shared picks) or the loop's pool and
+per-client histories live only during calibration.  Each emitted chunk
+is O(``chunk_rows``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -65,15 +73,51 @@ DEFAULT_CHUNK_ROWS = 65_536
 _VERSION_BITS = 32  # (doc, version) packed as doc << 32 | version
 _VERSION_MASK = (1 << _VERSION_BITS) - 1
 
+# A request's kind, as _resolve classifies it: a new document, a pick
+# from the client's own history, or a shared pick from the recency
+# window, uniformly over shared documents, or by popularity.
+_NEW, _SELF, _RECENT, _UNIFORM, _POPULAR = range(5)
+
+
+def _sort_by_group(group: np.ndarray, idx_t: type) -> np.ndarray:
+    """``np.argsort(group, kind="stable")`` as *idx_t*, by an unstable
+    sort of ``group << bits | position`` keys (unique, so the order is
+    the stable one), which is several times faster.  *group* holds
+    non-negative ``int32``-range values."""
+    bits = max(len(group) - 1, 1).bit_length()
+    keys = group.astype(np.int64) << bits
+    keys |= np.arange(len(group))
+    keys.sort()
+    keys &= (1 << bits) - 1
+    return keys.astype(idx_t)
+
+
+def _jump(ptr: np.ndarray) -> np.ndarray:
+    """Follow pointers at earlier requests to their chains' ends, which
+    point at themselves: ``ptr = ptr[ptr]`` until nothing changes, after
+    the first pass only over the pointers not yet at an end.  Each pass
+    at least doubles how far a pointer has moved, so a pointer still
+    moving after 64 passes is on a cycle, which raises.  Returns a new
+    array; *ptr* is not written."""
+    ptr = ptr[ptr]
+    active = np.flatnonzero(ptr != ptr[ptr])
+    for _ in range(64):
+        if not active.size:
+            return ptr
+        nxt = ptr[ptr[active]]
+        ptr[active] = nxt
+        active = active[nxt != ptr[nxt]]
+    raise RuntimeError("request pointers form a cycle")
+
 
 class TraceStream:
     """Chunked, re-iterable synthetic trace.
 
     The rows of ``generate_trace(config, seed)`` (which is
     :meth:`materialise`), without ever materialising the five request
-    columns.  Construction runs the one calibration pass (the
-    generative loop plus size/timestamp normalisation); every
-    subsequent :meth:`chunks` / :meth:`iter_rows`
+    columns.  Construction runs the one calibration pass (resolving
+    every request's document and version, then size and timestamp
+    normalisation); every subsequent :meth:`chunks` / :meth:`iter_rows`
     call gathers its rows from the calibration tables and redraws only
     the timestamp gaps, so the stream can be consumed any number of
     times without re-running the generator.
@@ -169,10 +213,10 @@ class TraceStream:
 
     def _calibrate(self) -> None:
         cfg = self.config
-        n = cfg.n_requests
 
         # The one generator every draw of this stream comes from; the
-        # chunked draws re-position it (see _loop_chunks and _gap_chunks).
+        # chunked draws re-position it (see _variate_chunks and
+        # _gap_chunks).
         self._rng = rng = np.random.default_rng(self.seed)
         if not isinstance(rng.bit_generator, np.random.PCG64):
             raise RuntimeError(
@@ -187,15 +231,22 @@ class TraceStream:
         # Values are < n_clients, so int32 halves the retained footprint;
         # emission upcasts per chunk.
         self._clients = clients.astype(np.int32)
+        del clients
 
-        # Generative loop, its only run: retain only the packed
-        # (doc, version) per request, to recover final popularity counts
-        # and the unique pair table that sizes are assigned over.
-        packed = np.empty(n, dtype=np.int64)
-        for start, end, packed_c in self._loop_chunks(rng):
-            packed[start:end] = packed_c
-        self._assign_pair_sizes(rng, packed)
-        del packed
+        # Each request's (doc, version) as an index into the sorted
+        # unique pairs, the table sizes are assigned over.  Embedded
+        # objects need the per-request loop; every other config resolves
+        # in whole-column passes.
+        if cfg.embedded_per_page_mean > 0:
+            packed = np.empty(cfg.n_requests, dtype=np.int64)
+            for start, end, packed_c in self._loop_chunks(rng):
+                packed[start:end] = packed_c
+            pair_keys, pair_idx = np.unique(packed, return_inverse=True)
+            del packed
+        else:
+            pair_keys, pair_idx = self._resolve(rng, client_counts)
+        self._assign_pair_sizes(rng, pair_keys, pair_idx)
+        del pair_idx
 
         # Timestamps: the gap draws begin here.  One pass learns the
         # normalising span; a diurnal trace needs a second pass, through
@@ -216,31 +267,26 @@ class TraceStream:
                 last = last * self._diurnal_scale
         self._last_timestamp = float(last)
 
-    def _loop_chunks(
+    def _variate_chunks(
         self, rng: np.random.Generator
-    ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Run the generative loop, yielding ``(start, end, packed)``
-        per chunk, ``packed`` being each request's ``doc << 32 |
-        version``.
+    ) -> Iterator[tuple[int, list[np.ndarray], np.ndarray, np.ndarray | None]]:
+        """Yield ``(start, uniforms, lookback, n_embedded)`` per chunk of
+        ``chunk_rows`` requests: the generative process's variates.
 
-        The variates are read from *rng*'s stream, positioned just after
-        the client draws, in this order: five uniform arrays of
-        ``n_requests`` (new/self/global decision, private flag, pool
+        They are read from *rng*'s stream, positioned just after the
+        client draws, in this order: five uniform arrays of
+        ``n_requests`` (new/self/shared decision, private flag, pool
         position, recency/uniform decision, mutation decision), the
-        lookback exponential array and, when the config has embedded
-        objects, the Poisson array of their counts.  Each chunk draws
-        its slice of every array from the one generator, re-positioned
-        per array: uniform doubles consume exactly one PCG64 step each,
-        so a uniform slice is reached with ``advance``; the ziggurat
+        lookback exponential array (truncated to ``int64``) and, when
+        the config has embedded objects, the Poisson array of their
+        counts (else ``n_embedded`` is ``None``).  Each chunk draws its
+        slice of every array from the one generator, re-positioned per
+        array: uniform doubles consume exactly one PCG64 step each, so a
+        uniform slice is reached with ``advance``; the ziggurat
         exponentials and the Poisson draws consume a value-dependent
         number of steps, so their cursors are saved states.  Their slices
         are drawn last in each chunk, so once exhausted *rng* sits just
         after the last variate array, where the size draws begin.
-
-        The process is inherently sequential (preferential attachment
-        feeds popularity back into the pool), so the loop cannot be
-        vectorised; pre-drawing every chunk's variates keeps it fast.
-        Calibration runs it exactly once per stream.
         """
         cfg = self.config
         n = cfg.n_requests
@@ -248,12 +294,11 @@ class TraceStream:
         bg = rng.bit_generator
         lookback_mean = cfg.self_lookback_mean
         embedded_mean = cfg.embedded_per_page_mean
-        track_embedded = embedded_mean > 0
 
         state_uniform = bg.state
         state_lookback = None  # the first chunk reaches it (below)
         state_embed = None
-        if track_embedded:
+        if embedded_mean > 0:
             # The Poisson array begins after the whole lookback array,
             # so its start state is found by streaming that array once.
             bg.advance(5 * n)
@@ -261,6 +306,198 @@ class TraceStream:
                 rng.exponential(lookback_mean, size=min(chunk_rows, n - start))
             state_embed = bg.state
 
+        for start in range(0, n, chunk_rows):
+            k = min(chunk_rows, n - start)
+            # the five uniform arrays lie n steps apart on the stream
+            bg.state = state_uniform
+            bg.advance(start)
+            uniforms = []
+            for _ in range(5):
+                uniforms.append(rng.random(k))
+                bg.advance(n - k)
+            # The first chunk's walk ends at 5 n, where the lookback
+            # array begins.
+            if state_lookback is not None:
+                bg.state = state_lookback
+            lookback = rng.exponential(lookback_mean, size=k).astype(np.int64)
+            state_lookback = bg.state
+            n_embedded = None
+            if state_embed is not None:
+                bg.state = state_embed
+                n_embedded = rng.poisson(embedded_mean, size=k)
+                state_embed = bg.state
+            yield start, uniforms, lookback, n_embedded
+
+    def _resolve(
+        self, rng: np.random.Generator, client_counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Resolve every request's ``(doc, version)`` in whole-column
+        passes, for a config without embedded objects.
+
+        Returns the sorted unique pair keys (``doc << 32 | version``)
+        and each request's index into them, exactly what ``np.unique``
+        returns on the packed column the generative process defines (see
+        :meth:`_loop_chunks`), from the same draws of
+        :meth:`_variate_chunks`.
+
+        Every re-reference takes the document of an earlier request, so
+        each request becomes a pointer at the request its document comes
+        from: a new document points at itself, a self pick at the
+        client's earlier request it looks back to, a shared pick at the
+        request that added the chosen pool entry or, for a uniform
+        revisit, created the chosen shared document.  The pool holds one
+        entry per request to a non-private document, so pool lengths are
+        prefix counts of non-private requests.  Privacy is fixed when a
+        document is created and a shared pick is never private, so a
+        request's privacy is its self-pick chain's end's.  One thing
+        feeds the pool back into classification: a shared pick before
+        the first non-private request finds the pool empty and creates a
+        document.  Resolving privacy with every shared pick new finds
+        that request (nothing before it sees the difference), after which
+        the second resolution is exact.  Pointer jumping (``ptr =
+        ptr[ptr]`` until nothing changes) takes every chain to its end in
+        a logarithmic number of passes.  A version counts the mutating
+        requests to its document so far.
+        """
+        cfg = self.config
+        n = cfg.n_requests
+        idx_t = np.int32 if n < 2**31 else np.int64
+        p_new = cfg.p_new
+        p_self_edge = cfg.p_new + cfg.p_self
+        recency_bias = cfg.recency_bias
+        uniform_edge = cfg.recency_bias + cfg.uniform_doc_frac
+        window_frac = cfg.recency_window_frac
+        private_frac = cfg.private_doc_frac
+        p_mutate = cfg.p_mutate
+
+        # Each client's requests in order: client c's request of rank r
+        # is by_client[first[c] + r], and request i sits at pos[i].
+        by_client = _sort_by_group(self._clients, idx_t)
+        first = np.zeros(len(client_counts) + 1, dtype=idx_t)
+        np.cumsum(client_counts, out=first[1:])
+        pos = np.empty(n, dtype=idx_t)
+        pos[by_client] = np.arange(n, dtype=idx_t)
+
+        # One pass over the draws keeps compact columns: each request's
+        # kind, its pointer (self picks now, shared picks below), its
+        # private and mutation draws, and pool positions of shared picks.
+        kinds = np.empty(n, dtype=np.int8)
+        ptr = np.arange(n, dtype=idx_t)
+        private = np.empty(n, dtype=bool)
+        mutates = np.empty(n, dtype=bool)
+        shared_u: list[np.ndarray] = []
+        for start, uniforms, lookback, _ in self._variate_chunks(rng):
+            u_kind, u_private, u_pos, u_recent, u_mutate = uniforms
+            end = start + len(u_kind)
+            # _NEW, _SELF, or _RECENT + 0/1/2 for a shared pick
+            kind = (u_recent >= recency_bias).astype(np.int8)
+            kind += u_recent >= uniform_edge
+            kind += 1
+            kind *= u_kind >= p_self_edge
+            kind += u_kind >= p_new
+            at = np.flatnonzero(kind == _SELF)
+            here = pos[start + at]
+            oldest = first[self._clients[start + at]]
+            # With no history yet a self pick creates a document (and
+            # points at itself below, as here == oldest).
+            kind[at[here == oldest]] = _NEW
+            back = lookback[at]
+            ptr[start + at] = by_client[
+                np.where(back < here - oldest, here - 1 - back, oldest)
+            ]
+            shared_u.append(u_pos[kind >= _RECENT])
+            kinds[start:end] = kind
+            private[start:end] = u_private < private_frac
+            mutates[start:end] = u_mutate < p_mutate
+        del by_client, first, pos
+        u_pos = np.concatenate(shared_u)
+        del shared_u
+
+        # Privacy, twice: first with every shared pick new, which finds
+        # the first non-private request f, then with the shared picks
+        # after f resolved, which are never private.  Either way it is
+        # fixed at the end of a request's self-pick chain.
+        chain_end = _jump(ptr)
+        public = ~private[chain_end]
+        f = int(np.argmax(public)) if public.any() else n
+        reref = kinds >= _RECENT
+        new = kinds == _NEW
+        new[: f + 1] |= reref[: f + 1]  # the pool is empty up to f
+        reref[: f + 1] = False
+        public |= reref[chain_end]
+        del chain_end, private
+
+        # Shared picks point into the pool and the shared documents.
+        pool = np.flatnonzero(public)
+        created = np.flatnonzero(public & new)
+        pool_len = np.cumsum(public, dtype=idx_t)
+        del public
+        at = np.flatnonzero(reref)
+        del reref
+        u = u_pos[len(u_pos) - len(at):]
+        pool_len = pool_len[at] - 1  # a shared pick is in the pool itself
+        kind = kinds[at]
+        del kinds, u_pos
+        target = np.empty(len(at), dtype=np.int64)
+        m = kind == _RECENT
+        window = np.maximum((pool_len[m] * window_frac).astype(np.int64), 1)
+        target[m] = pool[pool_len[m] - 1 - (u[m] * window).astype(np.int64)]
+        m = kind == _UNIFORM
+        n_created = np.searchsorted(created, at[m])
+        target[m] = created[(u[m] * n_created).astype(np.int64)]
+        m = kind == _POPULAR
+        target[m] = pool[(u[m] * pool_len[m]).astype(np.int64)]
+        ptr[at] = target
+        del pool, created, at, u, pool_len, kind, target, m
+
+        # Documents are numbered in creation order.
+        doc = np.cumsum(new, dtype=idx_t)
+        n_docs = int(doc[-1])
+        doc -= 1
+        doc = doc[_jump(ptr)]
+        del ptr
+
+        # Versions: a re-reference mutates on its draw, and every
+        # version of a document from 0 to its count of mutations occurs,
+        # so a pair's index is its document's offset plus its version.
+        mutates &= ~new
+        del new
+        n_versions = np.bincount(doc[mutates], minlength=n_docs)
+        n_versions += 1
+        offset = np.cumsum(n_versions)
+        offset -= n_versions
+        pair_idx = offset[doc].astype(idx_t)
+        moving = np.flatnonzero((n_versions > 1)[doc])
+        if moving.size:
+            # Sort only the requests to documents that mutate, by
+            # (document, request); a document's first request creates
+            # it and never mutates.
+            moving = moving[_sort_by_group(doc[moving], idx_t)]
+            moved = doc[moving]
+            count = np.cumsum(mutates[moving], dtype=idx_t)
+            starts = np.flatnonzero(np.r_[True, moved[1:] != moved[:-1]])
+            count -= np.repeat(count[starts], np.diff(np.r_[starts, len(moving)]))
+            pair_idx[moving] += count
+        pair_doc = np.repeat(np.arange(n_docs, dtype=np.int64), n_versions)
+        pair_keys = np.arange(len(pair_doc), dtype=np.int64)
+        pair_keys -= offset[pair_doc]
+        pair_keys |= pair_doc << _VERSION_BITS
+        return pair_keys, pair_idx
+
+    def _loop_chunks(
+        self, rng: np.random.Generator
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Run the generative process with embedded objects as a
+        per-request loop, yielding ``(start, end, packed)`` per chunk,
+        ``packed`` being each request's ``doc << 32 | version``.
+
+        Whether a request is forced to a queued embedded object depends
+        on which page its client's earlier request resolved to, so this
+        input keeps the loop; every other config goes through
+        :meth:`_resolve`, which reads the same draws of
+        :meth:`_variate_chunks`.  Calibration runs it once per stream.
+        """
+        cfg = self.config
         p_new = cfg.p_new
         p_self_edge = cfg.p_new + cfg.p_self
         recency_bias = cfg.recency_bias
@@ -289,43 +526,21 @@ class TraceStream:
         version_step = 1 << 31
         n_docs = 0
         embedded_of: list[list[int]] = []   # page doc id -> embedded doc ids
-        queue: list[list[int]] = (
-            [[] for _ in range(cfg.n_clients)] if track_embedded else []
-        )
+        queue: list[list[int]] = [[] for _ in range(cfg.n_clients)]
 
-        for start in range(0, n, chunk_rows):
-            k = min(chunk_rows, n - start)
-            # the five uniform arrays lie n steps apart on the stream
-            bg.state = state_uniform
-            bg.advance(start)
-            uniforms = []
-            for _ in range(5):
-                uniforms.append(rng.random(k).tolist())
-                bg.advance(n - k)
-            # The first chunk's walk ends at 5 n, where the lookback
-            # array begins.
-            if state_lookback is not None:
-                bg.state = state_lookback
-            lookback = rng.exponential(lookback_mean, size=k).astype(np.int64)
-            state_lookback = bg.state
-            if track_embedded:
-                bg.state = state_embed
-                n_embedded = rng.poisson(embedded_mean, size=k).tolist()
-                state_embed = bg.state
-            else:
-                n_embedded = repeat(0, k)
-
+        for start, uniforms, lookback, n_embedded in self._variate_chunks(rng):
+            k = len(lookback)
             keys: list[int] = []
             keys_append = keys.append
             for c, kind, u_private, u_pos, u_recent, u_mutate, back, kids_n in zip(
                 self._clients[start : start + k].tolist(),
-                *uniforms,
+                *[u.tolist() for u in uniforms],
                 lookback.tolist(),
-                n_embedded,
+                n_embedded.tolist(),
             ):
                 hist = history[c]
                 doc = -1
-                if track_embedded and queue[c]:
+                if queue[c]:
                     # Embedded objects of the page just visited come first.
                     doc = queue[c].pop()
                 elif kind >= p_new:
@@ -351,13 +566,12 @@ class TraceStream:
                     is_private_append(private)
                     if not private:
                         shared_docs_append(doc)
-                    if track_embedded:
-                        kids = list(range(doc + 1, doc + 1 + kids_n))
-                        n_docs += kids_n
-                        embedded_of.append(kids)
-                        embedded_of.extend([] for _ in kids)
-                        key_of.extend(kids)
-                        is_private.extend(private for _ in kids)
+                    kids = list(range(doc + 1, doc + 1 + kids_n))
+                    n_docs += kids_n
+                    embedded_of.append(kids)
+                    embedded_of.extend([] for _ in kids)
+                    key_of.extend(kids)
+                    is_private.extend(private for _ in kids)
                 elif u_mutate < p_mutate:
                     # The document changed at the origin since it was
                     # last seen.
@@ -366,7 +580,7 @@ class TraceStream:
                     # Every reference to a shared doc reinforces its
                     # popularity.
                     pool_append(doc)
-                if track_embedded and embedded_of[doc]:
+                if embedded_of[doc]:
                     # Visiting a page queues its embedded objects (pop()
                     # takes from the end, so reverse to keep their order).
                     # An embedded object has none of its own, so a queued
@@ -382,11 +596,15 @@ class TraceStream:
             np.bitwise_or(packed, keys >> 31, out=packed)
             yield start, start + k, packed
 
-    def _assign_pair_sizes(self, rng: np.random.Generator, packed: np.ndarray) -> None:
+    def _assign_pair_sizes(
+        self, rng: np.random.Generator, pair_keys: np.ndarray, pair_idx: np.ndarray
+    ) -> None:
         """Assign a body size to every unique ``(doc, version)`` pair.
 
-        Sizes are constant per (doc, version).  A document's base size
-        is lognormal noise damped by its final reference count
+        *pair_keys* are the sorted unique pairs (``doc << 32 |
+        version``) and *pair_idx* each request's index into them.  Sizes
+        are constant per (doc, version).  A document's base size is
+        lognormal noise damped by its final reference count
         (``count**-beta``), producing the size/popularity
         anti-correlation that separates byte hit ratios from request hit
         ratios; a mutated version multiplies it by lognormal noise.  The
@@ -395,20 +613,18 @@ class TraceStream:
         where the size draws begin.
         """
         cfg = self.config
-        unique_keys, inverse = np.unique(packed, return_inverse=True)
-        pair_docs = unique_keys >> _VERSION_BITS
+        pair_docs = pair_keys >> _VERSION_BITS
         n_docs = int(pair_docs[-1]) + 1
         self._max_doc = n_docs - 1
-        counts = np.bincount(packed >> _VERSION_BITS, minlength=n_docs).astype(
-            np.float64
-        )
+        pair_counts = np.bincount(pair_idx, minlength=len(pair_keys))
+        counts = np.bincount(pair_docs, weights=pair_counts, minlength=n_docs)
 
         noise = rng.lognormal(mean=0.0, sigma=cfg.size_sigma, size=n_docs)
         base = noise * np.power(np.maximum(counts, 1.0), -cfg.size_popularity_beta)
         mut_noise = np.where(
-            (unique_keys & _VERSION_MASK) == 0,
+            (pair_keys & _VERSION_MASK) == 0,
             1.0,
-            rng.lognormal(mean=0.0, sigma=cfg.mutate_size_sigma, size=len(unique_keys)),
+            rng.lognormal(mean=0.0, sigma=cfg.mutate_size_sigma, size=len(pair_keys)),
         )
         pair_sizes = base[pair_docs] * mut_noise
         del noise, base, counts, pair_docs, mut_noise
@@ -416,18 +632,17 @@ class TraceStream:
         # The rescale divisor is the float64 pairwise sum over the
         # *per-request* expansion; expand transiently to keep that exact
         # summation tree, then drop the copy.
-        scale = (cfg.mean_doc_size * len(packed)) / max(
-            pair_sizes[inverse].sum(), 1e-12
+        scale = (cfg.mean_doc_size * len(pair_idx)) / max(
+            pair_sizes[pair_idx].sum(), 1e-12
         )
         self._pair_final = np.maximum(
             np.rint(pair_sizes * scale), cfg.min_doc_size
         ).astype(np.int64)
-        self._pair_idx = inverse.astype(
-            np.int32 if len(unique_keys) < 2**31 else np.int64
+        self._pair_idx = pair_idx.astype(
+            np.int32 if len(pair_keys) < 2**31 else np.int64, copy=False
         )
         # Emission gathers each request's doc and version from here.
-        self._pair_keys = unique_keys
-        pair_counts = np.bincount(inverse, minlength=len(unique_keys))
+        self._pair_keys = pair_keys
         self._total_bytes = int((self._pair_final * pair_counts).sum())
 
     # -- timestamps, chunked ------------------------------------------
@@ -510,7 +725,7 @@ class TraceStream:
 
         Re-iterable: each call gathers every chunk from the calibration
         tables (pair keys, sizes) and redraws only the timestamp gaps,
-        so it costs O(``chunk_rows``) memory and no generative loop.
+        so it costs O(``chunk_rows``) memory and no generator pass.
         The chunk size does not affect the values.
         """
         step = int(chunk_rows) if chunk_rows else self.chunk_rows

@@ -26,11 +26,12 @@ with the same *knobs that matter* for browser/proxy cache simulation:
   copy as a miss, matching the paper's size-change rule.
 
 Generation is two-pass: pass one builds the (client, doc, version)
-reference stream with a single O(N) loop over pre-drawn random arrays;
-pass two assigns sizes per unique (doc, version) from final popularity
-counts, fully vectorised.  Both passes live in
-:class:`repro.traces.streaming.TraceStream`; :func:`generate_trace`
-materialises one.
+reference stream from pre-drawn random arrays, resolving every
+re-reference by numpy pointer jumping (a per-request loop only when
+pages have embedded objects); pass two assigns sizes per unique (doc,
+version) from final popularity counts, fully vectorised.  Both passes
+live in :class:`repro.traces.streaming.TraceStream`;
+:func:`generate_trace` materialises one.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def generate_trace(config: SyntheticTraceConfig, seed: int | None = 0) -> Trace:
     """Generate a synthetic :class:`Trace` from *config*.
 
     Deterministic for a given ``(config, seed)`` pair: the materialised
-    :class:`~repro.traces.streaming.TraceStream`, whose calibration runs
-    the generative loop.  *seed* is an integer or ``None`` (fresh OS
+    :class:`~repro.traces.streaming.TraceStream`, whose calibration
+    resolves the workload.  *seed* is an integer or ``None`` (fresh OS
     entropy); a ``Generator`` raises ``TypeError``, because the stream
     re-positions a bit generator it owns.
     """

@@ -48,13 +48,23 @@ def assert_stream_matches(config: SyntheticTraceConfig, seed: int, chunk_rows=No
     p_mutate=st.sampled_from([0.0, 0.05]),
     diurnal=st.sampled_from([0.0, 0.8]),
     embedded=st.sampled_from([0.0, 1.5]),
+    # The knobs the embedded-free resolver branches on: at
+    # private_doc_frac=1 the pool never fills, so every shared pick is
+    # new; p_self is capped so that p_new + p_self stays at most 1.
+    private_doc_frac=st.sampled_from([0.0, 0.15, 1.0]),
+    p_new=st.sampled_from([0.0, 0.45, 1.0]),
+    p_self=st.sampled_from([0.0, 0.25, 1.0]),
+    recency_bias=st.sampled_from([0.0, 0.3, 1.0]),
+    uniform_doc_frac=st.sampled_from([0.0, 0.25, 1.0]),
+    recency_window_frac=st.sampled_from([0.002, 0.05, 1.0]),
     chunk_rows=st.none() | st.integers(1, 97),
     reread_rows=st.integers(1, 500),
 )
-@settings(max_examples=example_budget(40), deadline=None)
+@settings(max_examples=example_budget(150), deadline=None)
 def test_streamed_equals_generate_trace(
-    n_requests, n_clients, seed, p_mutate, diurnal, embedded, chunk_rows,
-    reread_rows,
+    n_requests, n_clients, seed, p_mutate, diurnal, embedded, private_doc_frac,
+    p_new, p_self, recency_bias, uniform_doc_frac, recency_window_frac,
+    chunk_rows, reread_rows,
 ):
     config = SyntheticTraceConfig(
         n_requests=n_requests,
@@ -62,6 +72,12 @@ def test_streamed_equals_generate_trace(
         p_mutate=p_mutate,
         diurnal_amplitude=diurnal,
         embedded_per_page_mean=embedded,
+        private_doc_frac=private_doc_frac,
+        p_new=p_new,
+        p_self=min(p_self, 1.0 - p_new),
+        recency_bias=recency_bias,
+        uniform_doc_frac=uniform_doc_frac,
+        recency_window_frac=recency_window_frac,
     )
     ref, stream = assert_stream_matches(config, seed, chunk_rows)
     # Re-iterate with a different chunk size, twice: every pass gathers
@@ -147,30 +163,42 @@ def test_generator_seed_rejected():
 
 
 def test_generative_loop_runs_once_per_stream(monkeypatch):
-    """Calibration runs the generative loop once; emission gathers from
-    its tables and never runs it again, whatever the consumer."""
+    """Calibration resolves the generative process once: by the
+    per-request loop with embedded objects, by the whole-column resolver
+    without (the loop never runs).  Emission gathers from the
+    calibration tables and never resolves again, whatever the consumer."""
     calls = []
-    loop = TraceStream._loop_chunks
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return loop(self, *args, **kwargs)
+    def counted(name):
+        method = getattr(TraceStream, name)
 
-    monkeypatch.setattr(TraceStream, "_loop_chunks", counted)
-    config = SyntheticTraceConfig(
-        n_requests=700, n_clients=12, p_mutate=0.05, embedded_per_page_mean=1.5
-    )
-    stream = TraceStream(config, seed=4, chunk_rows=64)
-    assert len(calls) == 1
-    for _ in stream.chunks():
-        pass
-    for _ in stream.chunks(chunk_rows=1000):
-        pass
-    rows = list(stream.iter_rows())
-    trace = stream.materialise()
-    assert len(calls) == 1
-    assert rows == list(trace.iter_rows())
-    assert rows == list(reference_generate_trace(config, seed=4).iter_rows())
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceStream, name, wrapper)
+
+    counted("_loop_chunks")
+    counted("_resolve")
+    for embedded, path in ((1.5, "_loop_chunks"), (0.0, "_resolve")):
+        calls.clear()
+        config = SyntheticTraceConfig(
+            n_requests=700,
+            n_clients=12,
+            p_mutate=0.05,
+            embedded_per_page_mean=embedded,
+        )
+        stream = TraceStream(config, seed=4, chunk_rows=64)
+        assert calls == [path]
+        for _ in stream.chunks():
+            pass
+        for _ in stream.chunks(chunk_rows=1000):
+            pass
+        rows = list(stream.iter_rows())
+        trace = stream.materialise()
+        assert calls == [path]
+        assert rows == list(trace.iter_rows())
+        assert rows == list(reference_generate_trace(config, seed=4).iter_rows())
 
 
 def test_reiteration_memory_is_per_chunk():

@@ -16,12 +16,17 @@ modules lazily (``simulate`` imports ``repro.federation.engine`` on
 first use), and without the swap those imports would run the other
 tree's code.
 
+With ``--setup`` it times each side's ``workload.setup(seed)``
+instead of its units, alternating in the same way.  Outside the timing,
+both sides of a pair must have built equal inputs: the same columns of
+the trace, or of the stream's ``materialise()``.
+
 The tool only reads the trees' ``perfbench/`` directories.
 
 Usage (from anywhere)::
 
     python tools/ab_units.py PARENT_ROOT CHANGE_ROOT federated-chaos \\
-        --seed 0 --pairs 20 [--cpu]
+        --seed 0 --pairs 20 [--cpu] [--setup]
 
 ``--cpu`` times units with process CPU time instead of wall time,
 which other load on a shared host disturbs less.
@@ -38,8 +43,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 #: top-level modules a side owns: the package and perfbench's helpers.
 OWNED = ("repro", "workloads", "checks", "tracing")
+#: the columns of a trace, compared between the two sides' inputs.
+COLUMNS = ("timestamps", "clients", "docs", "sizes", "versions")
 
 
 def _owned(name: str) -> bool:
@@ -71,6 +80,7 @@ class Side:
                 f"--workload must be one of {', '.join(workloads.WORKLOADS)}"
             )
         self.workload = workloads.WORKLOADS[workload]
+        self.seed = seed
         self.stash()
         self.activate()
         self.state = self.workload.setup(seed)
@@ -99,12 +109,42 @@ class Side:
             self.stash()
 
 
-def summary(label: str, seconds: list[float], requests: int) -> str:
+    def run_setup(self, clock) -> dict[str, np.ndarray]:
+        """Time one ``workload.setup(seed)``; returns the input's columns
+        (a stream's through ``materialise()``), read outside the timing."""
+        self.activate()
+        try:
+            gc.collect()
+            t0 = clock()
+            source = self.workload.setup(self.seed).source
+            self.seconds.append(clock() - t0)
+            if hasattr(source, "materialise"):
+                source = source.materialise()
+            return {col: getattr(source, col) for col in COLUMNS}
+        finally:
+            self.stash()
+
+
+def summary(label: str, seconds: list[float], requests: int | None) -> str:
+    """One side's median, IQR and fastest; as throughput when timing
+    units of *requests* requests, in milliseconds alone otherwise."""
     q1, med, q3 = statistics.quantiles(seconds, n=4)
+    if requests is None:
+        return (
+            f"{label:<7} median {med * 1e3:8.2f} ms  IQR {(q3 - q1) * 1e3:7.2f} ms"
+            f"  fastest {min(seconds) * 1e3:8.2f} ms"
+        )
     return (
         f"{label:<7} median {requests / med:10.1f} req/s ({med * 1e3:8.2f} ms)"
         f"  IQR {(q3 - q1) * 1e3:7.2f} ms"
         f"  fastest {requests / min(seconds):10.1f} req/s"
+    )
+
+
+def same_input(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
+    return all(
+        a[col].dtype == b[col].dtype and np.array_equal(a[col], b[col])
+        for col in COLUMNS
     )
 
 
@@ -118,6 +158,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cpu", action="store_true", help="time with process CPU time"
     )
+    parser.add_argument(
+        "--setup",
+        action="store_true",
+        help="time workload.setup(seed) instead of units; check equal inputs",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -130,17 +175,26 @@ def main(argv: list[str] | None = None) -> int:
     wins = 0
     for i in range(args.pairs):
         order = (parent, change) if i % 2 == 0 else (change, parent)
-        digests = {side.label: side.run(clock) for side in order}
-        if digests["parent"] != digests["change"]:
-            raise SystemExit(f"pair {i}: the two trees returned different results")
+        if args.setup:
+            built = {side.label: side.run_setup(clock) for side in order}
+            if not same_input(built["parent"], built["change"]):
+                raise SystemExit(f"pair {i}: the two trees built different inputs")
+        else:
+            digests = {side.label: side.run(clock) for side in order}
+            if digests["parent"] != digests["change"]:
+                raise SystemExit(f"pair {i}: the two trees returned different results")
         wins += change.seconds[-1] < parent.seconds[-1]
     print(
         f"{args.workload} seed {args.seed}: {args.pairs} alternating pairs, "
-        f"{parent.requests:,} requests/unit, "
-        f"{'CPU' if args.cpu else 'wall'} time, results equal in every pair"
+        + (
+            "setup timed, inputs equal in every pair"
+            if args.setup
+            else f"{parent.requests:,} requests/unit, results equal in every pair"
+        )
+        + f", {'CPU' if args.cpu else 'wall'} time"
     )
     for side in (parent, change):
-        print(summary(side.label, side.seconds, side.requests))
+        print(summary(side.label, side.seconds, None if args.setup else side.requests))
     q1, med, q3 = statistics.quantiles(parent.seconds, n=4)
     gap = med - statistics.median(change.seconds)
     print(
